@@ -15,11 +15,8 @@ cycle-free.
 
 from .base import KERNELS, KernelBackend
 from .dispatch import active_overrides, override
-from .numba_backend import ATOL as NUMBA_ATOL
-from .numba_backend import NUMBA_AVAILABLE
 from .registry import (
     DEFAULT_BACKEND,
-    available_backends,
     backend_names,
     get_backend,
     kernel_defaults,
@@ -32,10 +29,7 @@ __all__ = [
     "KERNELS",
     "KernelBackend",
     "DEFAULT_BACKEND",
-    "NUMBA_ATOL",
-    "NUMBA_AVAILABLE",
     "active_overrides",
-    "available_backends",
     "backend_names",
     "get_backend",
     "kernel_defaults",

@@ -8,14 +8,10 @@ delegates every kernel to the canonical numpy implementation, so a
 subclass overrides only the kernels it accelerates and
 :meth:`overrides` reports exactly that set to the dispatch table.
 
-Parity contract (enforced by ``tests/backend/``):
-
-* ``exact=True`` backends (``numpy``, ``parallel``) are **bit-identical**
-  to the reference kernels in :mod:`repro.perf.reference` — goldens and
-  engine results never change under them.
-* ``exact=False`` backends (``numba``) are bounded-error: each kernel
-  documents its tolerance, and such a backend is never the default, so
-  goldens stay byte-stable.
+Parity contract (enforced by ``tests/backend/``): every backend
+(``numpy``, ``parallel``) is **bit-identical** to the reference kernels
+in :mod:`repro.perf.reference` — goldens and engine results never
+change under them.
 """
 
 from __future__ import annotations
@@ -40,23 +36,12 @@ class KernelBackend:
     ----------
     name:
         Registry key (``--backend`` value).
-    exact:
-        True when the backend's kernels are bit-identical to the numpy
-        reference (the goldens contract); False for bounded-error
-        backends.
-    available:
-        False when the backend's runtime dependency is missing; the
-        registry then resolves it to its fallback with a note instead of
-        failing the run.
-    fallback:
-        Name of the backend used when this one is unavailable.
+    description:
+        One-line summary for registry listings.
     """
 
     name = "base"
     description = "canonical numpy kernels"
-    exact = True
-    available = True
-    fallback = "numpy"
 
     # -- kernel surface (canonical numpy delegates) ----------------------------
 
@@ -122,11 +107,9 @@ class KernelBackend:
         return attr
 
     def describe(self) -> dict:
-        """One registry-listing row (used by ``cli bench`` and docs)."""
+        """One registry-listing row."""
         return {
             "backend": self.name,
-            "exact": self.exact,
-            "available": self.available,
             "overrides": sorted(self.overrides()),
             "description": self.description,
         }

@@ -23,7 +23,6 @@ class NumpyBackend(KernelBackend):
 
     name = "numpy"
     description = "single-threaded numpy hot kernels (default; reference)"
-    exact = True
 
 
 class ParallelBackend(KernelBackend):
@@ -39,7 +38,6 @@ class ParallelBackend(KernelBackend):
     name = "parallel"
     description = ("numpy kernels; sessions fan out to a persistent "
                    "multiprocessing pool (see --engine-workers)")
-    exact = True
     # Workers used when the caller enables the backend without an
     # explicit --engine-workers count.
     default_workers = 2

@@ -1,4 +1,4 @@
-"""Backend registry: lookup, availability fallback, and activation.
+"""Backend registry: lookup and activation.
 
 The registry is the single place that knows which
 :class:`~repro.backend.base.KernelBackend` implementations exist.
@@ -13,12 +13,10 @@ from contextlib import contextmanager
 
 from . import dispatch
 from .base import KERNELS, KernelBackend
-from .numba_backend import NumbaBackend
 from .numpy_backend import NumpyBackend, ParallelBackend
 
 __all__ = [
     "DEFAULT_BACKEND",
-    "available_backends",
     "backend_names",
     "get_backend",
     "register_backend",
@@ -40,19 +38,12 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 
 register_backend(NumpyBackend())
-register_backend(NumbaBackend())
 register_backend(ParallelBackend())
 
 
 def backend_names() -> tuple:
-    """All registered backend names (including unavailable ones)."""
+    """All registered backend names."""
     return tuple(sorted(_REGISTRY))
-
-
-def available_backends() -> tuple:
-    """Names of backends whose runtime dependencies are present."""
-    return tuple(name for name in backend_names()
-                 if _REGISTRY[name].available)
 
 
 def get_backend(name: str) -> KernelBackend:
@@ -70,31 +61,16 @@ def get_backend(name: str) -> KernelBackend:
 
 
 def resolve_backend(name: str | None) -> KernelBackend:
-    """``get_backend`` plus graceful degradation for unavailable ones.
-
-    ``None`` resolves to :data:`DEFAULT_BACKEND`.  An unavailable
-    backend (e.g. ``numba`` without the [perf] extra installed) resolves
-    to its declared fallback so runs degrade instead of failing.
-    """
-    backend = get_backend(DEFAULT_BACKEND if name is None else name)
-    seen = {backend.name}
-    while not backend.available:
-        fallback = backend.fallback
-        if fallback in seen:  # defensive: cyclic fallback chain
-            raise RuntimeError(
-                f"no available fallback for backend {name!r}")
-        seen.add(fallback)
-        backend = get_backend(fallback)
-    return backend
+    """``get_backend``, with ``None`` meaning :data:`DEFAULT_BACKEND`."""
+    return get_backend(DEFAULT_BACKEND if name is None else name)
 
 
 @contextmanager
 def use_backend(name: str | None):
     """Activate a backend's kernel overrides for the ``with`` body.
 
-    Yields the resolved :class:`KernelBackend` (which may be the
-    fallback when the requested backend is unavailable).  The previous
-    override table is restored on exit, so activations nest.
+    Yields the resolved :class:`KernelBackend`.  The previous override
+    table is restored on exit, so activations nest.
     """
     backend = resolve_backend(name)
     previous = dispatch.install(backend.overrides())

@@ -27,26 +27,16 @@ open-loop cluster simulator from a shell::
     python -m repro.harness.cli reconcile \\
         --input bench-artifacts/BENCH_realserve.json
 
-``--fast`` uses the reduced test-scale configuration (seconds per figure);
-the default scale matches the benchmarks (minutes for the quality figures).
-``--json-out DIR`` persists every run's rows as ``BENCH_<figure>.json`` so
-automated runs leave machine-readable perf history.  ``serve --workload
-NAME[:N]`` mixes named workload specs (see the ``workloads`` command) into
-one heterogeneous serve with the shared cross-session reference cache.
-``cluster`` runs sessions *arriving over time* against a fleet of SoC
-workers with admission control, placement, and optional autoscaling;
-``--seed`` makes every stochastic run reproducible.  ``experiment``
-executes a factorial run table of such cells (``--table table.json``,
-``--resume`` to complete an interrupted run; see docs/experiments.md).
-``--trace PATH`` records any serve/cluster/frontier/experiment run as
-Chrome Trace Event JSON, and ``trace analyze PATH`` summarises such a
-trace from the artifact alone (see docs/observability.md).
-``serve-live`` binds the real asyncio frame server on a TCP port;
-``loadgen`` replays a seeded arrival schedule against it over real
-sockets (self-hosting a server unless ``--connect`` targets a running
-one) and writes measured wall-clock quantiles to
-``BENCH_realserve.json``; ``reconcile`` diffs that artifact against a
-matched cluster-simulator prediction (see docs/serving-guide.md).
+Every command is an argparse subcommand that registers only the flags
+:data:`~.runconfig.OPTIONS` declares for it, so a flag foreign to a
+command is a parse error (exit 2); ``COMMAND --help`` is the flag
+reference.  ``--fast`` uses the reduced test-scale configuration
+(seconds per figure); the default scale matches the benchmarks.
+``--json-out DIR`` persists a run's rows as ``BENCH_<name>.json``.
+See docs/serving-guide.md (serve, cluster, frontier, serve-live,
+loadgen, reconcile), docs/experiments.md (experiment),
+docs/benchmarking.md (bench) and docs/observability.md (``--trace``,
+``trace analyze``).
 """
 
 from __future__ import annotations
@@ -54,254 +44,38 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from ..backend import backend_names
-from ..cluster import ARRIVAL_KINDS, PLACEMENTS
 from ..control import GOVERNOR_MODES
-from ..hw.soc import VARIANTS
 from ..workloads import list_workloads
 from .configs import DEFAULT, FAST
 from .figures import EXPERIMENTS
 from .reporting import print_table, write_bench_json
-from .runconfig import RunConfigError, from_cli_args, parse_rates
-
-SERVE_COMMAND = "serve"
-WORKLOADS_COMMAND = "workloads"
-CLUSTER_COMMAND = "cluster"
-FRONTIER_COMMAND = "frontier"
-BENCH_COMMAND = "bench"
-EXPERIMENT_COMMAND = "experiment"
-TRACE_COMMAND = "trace"
-SERVE_LIVE_COMMAND = "serve-live"
-LOADGEN_COMMAND = "loadgen"
-RECONCILE_COMMAND = "reconcile"
-
-# Commands that run under an observability activation: metrics are
-# always collected into their BENCH artifacts, and --trace additionally
-# records a Chrome Trace Event JSON of the run.
-OBSERVED_COMMANDS = (SERVE_COMMAND, CLUSTER_COMMAND, FRONTIER_COMMAND,
-                     EXPERIMENT_COMMAND, LOADGEN_COMMAND)
+from .runconfig import (FIGURE, OPTIONS, RunConfigError, from_cli_args,
+                        parse_rates)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.cli",
-        description="Reproduce individual Cicero (ISCA 2024) figures, or "
-                    "serve a batched multi-session rendering workload.")
-    parser.add_argument(
-        "figure",
-        help="figure id (e.g. fig07), 'all', 'serve', 'cluster', "
-             "'frontier' (quality-vs-throughput sweep), 'experiment' "
-             "(factorial run table from --table), 'bench' (hot-path "
-             "microbenchmarks -> BENCH_perf.json), 'trace' (analyze a "
-             "--trace artifact: trace analyze PATH), 'workloads' to "
-             "list the named workload registry, or 'list' to print "
-             "available ids")
-    parser.add_argument(
-        "extra", nargs="*", metavar="...",
-        help="subcommand arguments (only 'trace' takes any: "
-             "'analyze PATH')")
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="use the reduced test-scale configuration")
-    parser.add_argument(
-        "--json-out", metavar="DIR", default=None,
-        help="also write BENCH_<figure>.json artifacts into DIR")
-    shared = parser.add_argument_group(
-        "serve/cluster options",
-        "used by the 'serve', 'cluster', and 'frontier' commands")
-    serve = parser.add_argument_group(
-        "serve options", "only used with the 'serve' command")
-    serve.add_argument("--sessions", type=int, default=None,
-                       help="number of concurrent sessions (default 4; "
-                            "with --workload the mix counts decide)")
-    shared.add_argument("--frames", type=int, default=None,
-                        help="frames per session (default: config scale)")
-    serve.add_argument("--scheduler", choices=("round_robin", "deadline"),
-                       default=None,
-                       help="session scheduling policy (default "
-                            "round_robin; defaults late so 'cluster' can "
-                            "reject explicit use)")
-    serve.add_argument("--variant", choices=VARIANTS, default=None,
-                       help="SoC variant to price frames under "
-                            "(default cicero)")
-    serve.add_argument("--scene", action="append", dest="scenes",
-                       metavar="NAME",
-                       help="scene(s) to cycle sessions over (repeatable; "
-                            "default lego)")
-    serve.add_argument("--algorithm", default=None,
-                       help="NeRF algorithm for every session "
-                            "(default directvoxgo)")
-    shared.add_argument("--workload", action="append", dest="workloads",
-                        metavar="NAME[:N]",
-                        help="named workload spec to serve, optionally "
-                             "duplicated N times (repeatable; see the "
-                             "'workloads' command; the spec fixes scene/"
-                             "algorithm/variant, so --scene/--algorithm/"
-                             "--variant/--sessions do not apply; with "
-                             "'cluster' the counts act as arrival "
-                             "popularity weights)")
-    shared.add_argument("--no-cache", action="store_true",
-                        help="disable the shared cross-session reference "
-                             "cache (outputs are bit-identical either way)")
-    shared.add_argument("--backend", choices=backend_names(), default=None,
-                        help="kernel backend for the hot paths: 'numpy' "
-                             "(default, exact), 'numba' (JIT, bounded "
-                             "error, falls back to numpy when not "
-                             "installed), or 'parallel' (multi-core "
-                             "session fan-out, bit-identical to numpy); "
-                             "also honoured by 'bench' and 'experiment'")
-    shared.add_argument("--engine-workers", type=int, default=None,
-                        metavar="N",
-                        help="worker-process count for --backend parallel "
-                             "(default 2); rejected with the in-process "
-                             "backends")
-    shared.add_argument("--trace", metavar="PATH", default=None,
-                        help="record the run as Chrome Trace Event JSON "
-                             "at PATH (load in chrome://tracing or "
-                             "Perfetto; inspect with 'trace analyze "
-                             "PATH'); also honoured by 'experiment'")
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for every stochastic choice (trajectory "
-                             "sampling, arrival schedule); same seed, same "
-                             "run (default 0)")
-    shared.add_argument("--governor", choices=GOVERNOR_MODES, default=None,
-                        help="SLO quality governor: 'off' serves every "
-                             "session at its native tier, 'static' pins "
-                             "each workload's min_quality_tier, 'adaptive' "
-                             "degrades/recovers on observed frame latency "
-                             "(default off; 'frontier' sweeps all modes "
-                             "unless one is forced here)")
-    shared.add_argument("--slo", type=float, default=None, metavar="FPS",
-                        help="override every workload's SLO frame rate "
-                             "(default: each spec's slo_fps, falling back "
-                             "to its fps_target)")
-    serve.add_argument("--ray-budget", type=int, default=None,
-                       help="cap on rays served per engine round; with "
-                            "--governor the budget is split into "
-                            "per-session shares by SLO pressure "
-                            "(default: unbounded)")
-    bench = parser.add_argument_group(
-        "bench options", "only used with the 'bench' command")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke scale: FAST config, fewer reps, "
-                            "smaller synthetic inputs (seconds instead "
-                            "of minutes)")
-    bench.add_argument("--kernels", metavar="K1,K2,...", default=None,
-                       help="run only these registered kernels (default: "
-                            "the full registry; see docs/benchmarking.md)")
-    bench.add_argument("--repeat", type=int, default=3, metavar="N",
-                       help="repeat every kernel N times and keep the "
-                            "best (fastest) measurement per kernel "
-                            "(default 3)")
-    frontier = parser.add_argument_group(
-        "frontier options", "only used with the 'frontier' command")
-    frontier.add_argument("--rates", metavar="R1,R2,...", default=None,
-                          help="comma-separated offered arrival rates "
-                               "(sessions/s) to sweep (default 8,24,72; "
-                               "need >= 3 points for a frontier)")
-    cluster = parser.add_argument_group(
-        "cluster options", "only used with the 'cluster' command")
-    cluster.add_argument("--arrivals", choices=ARRIVAL_KINDS,
-                         default=None,
-                         help="arrival process (default poisson; defaults "
-                              "late so 'frontier' can reject explicit "
-                              "use — its sweep fixes poisson)")
-    cluster.add_argument("--rate", type=float, default=None,
-                         help="arrival rate in sessions/s; peak rate for "
-                              "diurnal (default 1.0; not valid with "
-                              "--arrivals replay)")
-    cluster.add_argument("--duration", type=float, default=None,
-                         help="arrival window in virtual seconds "
-                              "(default 10; not valid with --arrivals "
-                              "replay)")
-    cluster.add_argument("--workers", type=int, default=None,
-                         help="initial SoC worker count (default 4; "
-                              "defaults late so 'serve' can reject "
-                              "explicit use)")
-    cluster.add_argument("--placement",
-                         choices=tuple(sorted(PLACEMENTS)),
-                         default=None,
-                         help="placement policy, also honoured by "
-                              "'frontier' (default least_loaded; "
-                              "cache_affinity co-locates sessions sharing "
-                              "content on one worker's reference cache; "
-                              "shard_affinity breaks load ties toward "
-                              "workers already holding the field — pair "
-                              "with --catalog)")
-    cluster.add_argument("--queue-limit", type=int, default=None,
-                         help="max resident sessions per worker before "
-                              "admission rejects (default 4)")
-    cluster.add_argument("--arrival-trace", metavar="PATH", default=None,
-                         help="JSON arrival trace for --arrivals replay")
-    cluster.add_argument("--autoscale", action="store_true",
-                         help="scale the fleet on load between "
-                              "--min-workers and --max-workers")
-    cluster.add_argument("--min-workers", type=int, default=None,
-                         help="autoscaler floor (default 1; requires "
-                              "--autoscale)")
-    cluster.add_argument("--max-workers", type=int, default=None,
-                         help="autoscaler ceiling (default 2x --workers; "
-                              "requires --autoscale)")
-    cluster.add_argument("--scale-up-latency", type=float, default=None,
-                         help="provisioning delay in virtual seconds "
-                              "before a scaled-up worker takes sessions "
-                              "(default 1.0; requires --autoscale)")
-    cluster.add_argument("--catalog", type=int, default=None, metavar="N",
-                         help="expand the workload mix into N "
-                              "content-distinct scene variants served "
-                              "through the sharded field tier (see "
-                              "docs/sharded-serving.md)")
-    cluster.add_argument("--zipf", type=float, default=None, metavar="S",
-                         help="zipfian popularity skew over the catalog "
-                              "(default 1.1; 0 = uniform; requires "
-                              "--catalog)")
-    cluster.add_argument("--replication", type=int, default=None,
-                         metavar="R",
-                         help="replicas per baked field in the shard "
-                              "tier (default 2; 0 disables the tier — "
-                              "per-worker LRU only; requires --catalog)")
-    realserve = parser.add_argument_group(
-        "realserve options",
-        "used by the 'serve-live', 'loadgen', and 'reconcile' commands "
-        "(the real wall-clock frame server; see docs/serving-guide.md)")
-    realserve.add_argument("--host", default=None,
-                           help="interface the frame server binds "
-                                "(default 127.0.0.1)")
-    realserve.add_argument("--port", type=int, default=None,
-                           help="port the frame server binds (default 0 "
-                                "= ephemeral; the bound port is printed)")
-    realserve.add_argument("--connect", metavar="HOST:PORT", default=None,
-                           help="loadgen only: target an already-running "
-                                "'serve-live' server instead of starting "
-                                "an in-process one")
-    realserve.add_argument("--time-scale", type=float, default=None,
-                           help="loadgen only: wall seconds per virtual "
-                                "arrival second (default 1.0; <1 "
-                                "compresses the schedule — reconcile "
-                                "normalises back to virtual seconds)")
-    realserve.add_argument("--input", metavar="PATH", default=None,
-                           help="reconcile only: the BENCH_realserve.json "
-                                "a 'loadgen' run wrote")
-    trace = parser.add_argument_group(
-        "trace options", "only used with the 'trace' command")
-    trace.add_argument("--top", type=int, default=10, metavar="N",
-                       help="rows per 'trace analyze' ranking (slowest "
-                            "frames/spans; default 10)")
-    experiment = parser.add_argument_group(
-        "experiment options", "only used with the 'experiment' command")
-    experiment.add_argument("--table", metavar="PATH", default=None,
-                            help="factorial run table (.json, or .toml on "
-                                 "Python 3.11+): a base RunConfig plus "
-                                 "axes to sweep (see docs/experiments.md)")
-    experiment.add_argument("--resume", action="store_true",
-                            help="skip cells whose artifact under "
-                                 "--out/cells already matches their "
-                                 "config hash")
-    experiment.add_argument("--out", metavar="DIR", default=None,
-                            help="artifact directory for the run table "
-                                 "(default bench-artifacts)")
-    return parser
+def _config(args):
+    return FAST if args.fast else DEFAULT
+
+
+def _fail(args, message) -> int:
+    print(f"{args.figure}: {message}", file=sys.stderr)
+    return 2
+
+
+def _message(exc: Exception):
+    # ValueError/KeyError carry a crafted message in args[0]; OSError's
+    # args[0] is the bare errno, so keep the whole exception ("[Errno 2]
+    # No such file ...: 'trace.json'").
+    return exc.args[0] if isinstance(exc, (ValueError, KeyError)) else exc
+
+
+def _json_dir(args) -> str:
+    # Commands that are run-table experiments (muBench-style) always
+    # persist their machine-readable report, by default next to the
+    # other bench artifacts.
+    return "bench-artifacts" if args.json_out is None else args.json_out
 
 
 def run_figure(name: str, config, json_dir: str | None = None) -> None:
@@ -314,19 +88,32 @@ def run_figure(name: str, config, json_dir: str | None = None) -> None:
         write_bench_json(json_dir, name, rows, elapsed, config=config)
 
 
-def run_workloads_listing() -> int:
+def run_figures(args) -> int:
+    names = sorted(EXPERIMENTS) if args.figure == "all" else [args.figure]
+    for name in names:
+        run_figure(name, _config(args), json_dir=args.json_out)
+    return 0
+
+
+def run_list(args) -> int:
+    for name in sorted(EXPERIMENTS):
+        print(name)
+    for name in sorted(COMMANDS):
+        if name not in ("all", "list"):
+            print(name)
+    return 0
+
+
+def run_workloads_listing(args) -> int:
     rows = [spec.describe() for spec in list_workloads()]
     print_table(rows, title=f"workload registry ({len(rows)} specs)")
     return 0
 
 
-def run_serve(args, config) -> int:
+def run_serve(args) -> int:
     from .runner import execute_cell
-    try:
-        cell = from_cli_args(SERVE_COMMAND, args)
-    except RunConfigError as exc:
-        print(f"serve: {exc.args[0]}", file=sys.stderr)
-        return 2
+    cell = from_cli_args("serve", args)
+    config = _config(args)
     started = time.perf_counter()
     result = execute_cell(cell, config=config)
     rows, summary = result.rows, result.summary
@@ -342,30 +129,21 @@ def run_serve(args, config) -> int:
                     title="shared caches (counters: this run; "
                           "entries/bytes: current totals)")
     if args.json_out is not None:
-        name = "serve_mixed" if cell.workloads is not None else SERVE_COMMAND
+        name = "serve_mixed" if cell.workloads is not None else "serve"
         write_bench_json(args.json_out, name, rows, elapsed,
-                         config=config, extra=summary, kind=SERVE_COMMAND)
+                         config=config, extra=summary, kind="serve")
     return 0
 
 
-def run_cluster_command(args, config) -> int:
+def run_cluster_command(args) -> int:
     from .runner import execute_cell
-    try:
-        cell = from_cli_args(CLUSTER_COMMAND, args)
-    except RunConfigError as exc:
-        print(f"cluster: {exc.args[0]}", file=sys.stderr)
-        return 2
+    cell = from_cli_args("cluster", args)
+    config = _config(args)
     started = time.perf_counter()
     try:
         result = execute_cell(cell, config=config)
     except (ValueError, KeyError, OSError) as exc:
-        # ValueError/KeyError carry a crafted message in args[0];
-        # OSError's args[0] is the bare errno, so stringify the whole
-        # exception ("[Errno 2] No such file ...: 'trace.json'").
-        message = (exc.args[0] if isinstance(exc, (ValueError, KeyError))
-                   else exc)
-        print(f"cluster: {message}", file=sys.stderr)
-        return 2
+        return _fail(args, _message(exc))
     rows, summary = result.rows, result.summary
     elapsed = time.perf_counter() - started
     print_table(rows, title=f"cluster: {len(rows)} workers "
@@ -384,13 +162,8 @@ def run_cluster_command(args, config) -> int:
     if events:
         print_table(events[:30],
                     title=f"governor timeline (first 30 of {len(events)})")
-    # Cluster runs are run-table experiments (muBench-style): every run
-    # persists its machine-readable report, defaulting next to the other
-    # bench artifacts when --json-out is not given.
-    json_dir = "bench-artifacts" if args.json_out is None else args.json_out
-    path = write_bench_json(json_dir, CLUSTER_COMMAND, rows, elapsed,
-                            config=config, extra=summary,
-                            kind=CLUSTER_COMMAND)
+    path = write_bench_json(_json_dir(args), "cluster", rows, elapsed,
+                            config=config, extra=summary, kind="cluster")
     print(f"\nwrote {path}")
     return 0
 
@@ -405,26 +178,11 @@ def _server_options(cell):
         engine_workers=cell.engine_workers)
 
 
-def run_serve_live(args, config) -> int:
+def run_serve_live(args) -> int:
     import asyncio
     from ..server import FrameServer
-    try:
-        cell = from_cli_args(SERVE_LIVE_COMMAND, args)
-    except RunConfigError as exc:
-        print(f"serve-live: {exc.args[0]}", file=sys.stderr)
-        return 2
-    loadgen_only = [flag for flag, value in (
-        ("--arrivals", cell.arrivals), ("--rate", cell.rate_hz),
-        ("--duration", cell.duration_s), ("--time-scale", cell.time_scale),
-        ("--connect", args.connect), ("--workload", cell.workloads),
-        ("--frames", cell.frames),
-    ) if value is not None]
-    if loadgen_only:
-        print(f"serve-live: {'/'.join(loadgen_only)} "
-              f"{'is a' if len(loadgen_only) == 1 else 'are'} loadgen "
-              "option(s) (the connecting client picks workloads)",
-              file=sys.stderr)
-        return 2
+    cell = from_cli_args("serve-live", args)
+    config = _config(args)
 
     async def serve() -> None:
         server = FrameServer(config=config, options=_server_options(cell))
@@ -445,21 +203,16 @@ def run_serve_live(args, config) -> int:
     return 0
 
 
-def run_loadgen_command(args, config) -> int:
+def run_loadgen_command(args) -> int:
     import asyncio
     from ..server import FrameServer, LoadgenOptions, run_loadgen
     from .cluster import DEFAULT_CLUSTER_MIX
-    try:
-        cell = from_cli_args(LOADGEN_COMMAND, args)
-    except RunConfigError as exc:
-        print(f"loadgen: {exc.args[0]}", file=sys.stderr)
-        return 2
+    cell = from_cli_args("loadgen", args)
+    config = _config(args)
     if args.connect is not None and (cell.host is not None
                                      or cell.port is not None):
-        print("loadgen: --connect targets a running server; --host/"
-              "--port configure the in-process one (pick one)",
-              file=sys.stderr)
-        return 2
+        return _fail(args, "--connect targets a running server; --host/"
+                           "--port configure the in-process one (pick one)")
     try:
         options = LoadgenOptions(
             mix=cell.workloads or DEFAULT_CLUSTER_MIX,
@@ -472,8 +225,7 @@ def run_loadgen_command(args, config) -> int:
                         else cell.time_scale),
             arrival_trace=cell.arrival_trace)
     except ValueError as exc:
-        print(f"loadgen: {exc.args[0]}", file=sys.stderr)
-        return 2
+        return _fail(args, exc.args[0])
 
     async def drive() -> dict:
         server = None
@@ -499,17 +251,13 @@ def run_loadgen_command(args, config) -> int:
             if not host or not 0 < int(port_text) <= 65535:
                 raise ValueError(args.connect)
         except ValueError:
-            print(f"loadgen: bad --connect {args.connect!r}; expected "
-                  "HOST:PORT", file=sys.stderr)
-            return 2
+            return _fail(args, f"bad --connect {args.connect!r}; expected "
+                               "HOST:PORT")
     started = time.perf_counter()
     try:
         summary = asyncio.run(drive())
     except (ValueError, KeyError, OSError) as exc:
-        message = (exc.args[0] if isinstance(exc, (ValueError, KeyError))
-                   else exc)
-        print(f"loadgen: {message}", file=sys.stderr)
-        return 2
+        return _fail(args, _message(exc))
     elapsed = time.perf_counter() - started
     # The reconcile command re-simulates from the artifact alone, so the
     # summary must pin down how the live server was configured too.
@@ -533,37 +281,27 @@ def run_loadgen_command(args, config) -> int:
     if failed:
         print(f"\nloadgen: {len(failed)}/{len(sessions)} sessions "
               "failed", file=sys.stderr)
-    json_dir = "bench-artifacts" if args.json_out is None else args.json_out
-    path = write_bench_json(json_dir, "realserve", rows, elapsed,
+    path = write_bench_json(_json_dir(args), "realserve", rows, elapsed,
                             config=config, extra=summary,
                             kind="realserve")
     print(f"\nwrote {path}")
     return 0 if not failed else 1
 
 
-def run_reconcile_command(args, config) -> int:
+def run_reconcile_command(args) -> int:
     import json
-    from pathlib import Path
 
     from ..server import reconcile_report
-    if args.input is None:
-        print("reconcile: --input is required (a BENCH_realserve.json "
-              "written by 'loadgen')", file=sys.stderr)
-        return 2
     try:
         artifact = json.loads(Path(args.input).read_text())
     except OSError as exc:
-        print(f"reconcile: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, exc)
     except json.JSONDecodeError as exc:
-        print(f"reconcile: {args.input} is not JSON: {exc}",
-              file=sys.stderr)
-        return 2
+        return _fail(args, f"{args.input} is not JSON: {exc}")
     if artifact.get("kind") != "realserve":
-        print(f"reconcile: {args.input} holds a "
-              f"{artifact.get('kind')!r} artifact, need 'realserve' "
-              "(run 'loadgen' first)", file=sys.stderr)
-        return 2
+        return _fail(args, f"{args.input} holds a {artifact.get('kind')!r} "
+                           "artifact, need 'realserve' (run 'loadgen' "
+                           "first)")
     measured = artifact.get("extra") or {}
     scale = measured.get("scale", "fast" if args.fast else "default")
     config = FAST if scale == "fast" else DEFAULT
@@ -576,8 +314,7 @@ def run_reconcile_command(args, config) -> int:
             slo_fps=measured.get("slo_fps"),
             backend=measured.get("backend"))
     except (ValueError, KeyError) as exc:
-        print(f"reconcile: {exc.args[0]}", file=sys.stderr)
-        return 2
+        return _fail(args, exc.args[0])
     elapsed = time.perf_counter() - started
     print_table(report["rows"],
                 title=f"sim-vs-real reconciliation ({elapsed:.1f}s wall)")
@@ -585,35 +322,29 @@ def run_reconcile_command(args, config) -> int:
         "mix", "rate_hz", "duration_s", "seed", "sessions_measured",
         "sessions_predicted", "frames_measured", "frames_predicted")}],
         title="matched run")
-    json_dir = "bench-artifacts" if args.json_out is None else args.json_out
     path = write_bench_json(
-        json_dir, "reconcile", report["rows"], elapsed, config=config,
+        _json_dir(args), "reconcile", report["rows"], elapsed,
+        config=config,
         extra={k: v for k, v in report.items() if k != "rows"},
         kind="reconcile")
     print(f"\nwrote {path}")
     return 0
 
 
-def run_bench_command(args, config) -> int:
+def run_bench_command(args) -> int:
     from ..perf.bench import run_benchmarks
-    if args.quick:
-        config = FAST  # --quick implies the FAST scale
+    config = FAST if args.quick else _config(args)  # --quick implies FAST
     kernels = None
     if args.kernels is not None:
         kernels = [part.strip() for part in args.kernels.split(",")
                    if part.strip()]
         if not kernels:
-            print(f"bench: bad --kernels {args.kernels!r}; expected "
-                  "comma-separated kernel names", file=sys.stderr)
-            return 2
+            return _fail(args, f"bad --kernels {args.kernels!r}; expected "
+                               "comma-separated kernel names")
     if args.repeat < 1:
-        print(f"bench: --repeat must be >= 1 (got {args.repeat})",
-              file=sys.stderr)
-        return 2
+        return _fail(args, f"--repeat must be >= 1 (got {args.repeat})")
     if args.engine_workers is not None and args.backend != "parallel":
-        print("bench: --engine-workers requires --backend parallel",
-              file=sys.stderr)
-        return 2
+        return _fail(args, "--engine-workers requires --backend parallel")
     started = time.perf_counter()
     try:
         rows, extra = run_benchmarks(config=config, quick=args.quick,
@@ -621,8 +352,7 @@ def run_bench_command(args, config) -> int:
                                      backend=args.backend,
                                      engine_workers=args.engine_workers)
     except KeyError as exc:
-        print(f"bench: {exc.args[0]}", file=sys.stderr)
-        return 2
+        return _fail(args, exc.args[0])
     elapsed = time.perf_counter() - started
     # Rows are heterogeneous (per-kernel derived metrics); show the union
     # of their columns instead of the first row's keys.  The per-kernel
@@ -631,24 +361,19 @@ def run_bench_command(args, config) -> int:
                                  if key != "sections"))
     print_table(rows, columns=columns,
                 title=f"bench: {len(rows)} kernels ({elapsed:.1f}s wall)")
-    # Bench runs are the perf trajectory: every run persists its
-    # machine-readable artifact (compare runs with compare_bench.py).
-    json_dir = "bench-artifacts" if args.json_out is None else args.json_out
-    path = write_bench_json(json_dir, "perf", rows, elapsed, config=config,
-                            extra=extra, kind="perf")
+    # Bench runs are the perf trajectory: compare runs with
+    # compare_bench.py.
+    path = write_bench_json(_json_dir(args), "perf", rows, elapsed,
+                            config=config, extra=extra, kind="perf")
     print(f"\nwrote {path}")
     return 0
 
 
-def run_frontier_command(args, config) -> int:
+def run_frontier_command(args) -> int:
     from .frontier import run_frontier
-    try:
-        cell = from_cli_args(FRONTIER_COMMAND, args)
-        rates = (parse_rates(args.rates) if args.rates is not None
-                 else None)
-    except RunConfigError as exc:
-        print(f"frontier: {exc.args[0]}", file=sys.stderr)
-        return 2
+    cell = from_cli_args("frontier", args)
+    rates = parse_rates(args.rates) if args.rates is not None else None
+    config = _config(args)
     # --governor restricts the sweep to one mode (default: all three).
     modes = GOVERNOR_MODES if args.governor is None else (args.governor,)
     kwargs = {
@@ -667,58 +392,35 @@ def run_frontier_command(args, config) -> int:
             seed=cell.seed, modes=modes,
             slo_fps=cell.slo_fps, use_cache=cell.use_cache, **kwargs)
     except (ValueError, KeyError) as exc:
-        print(f"frontier: {exc.args[0]}", file=sys.stderr)
-        return 2
+        return _fail(args, exc.args[0])
     elapsed = time.perf_counter() - started
     print_table(rows, title=f"frontier: {len(rows)} cells "
                             f"({elapsed:.1f}s wall)")
     print_table([summary], title="sweep")
-    json_dir = "bench-artifacts" if args.json_out is None else args.json_out
-    path = write_bench_json(json_dir, FRONTIER_COMMAND, rows, elapsed,
-                            config=config, extra=summary,
-                            kind=FRONTIER_COMMAND)
+    path = write_bench_json(_json_dir(args), "frontier", rows, elapsed,
+                            config=config, extra=summary, kind="frontier")
     print(f"\nwrote {path}")
     return 0
 
 
 def run_trace_command(args) -> int:
     from ..obs.analyze import main as analyze_main
-    if len(args.extra) != 2 or args.extra[0] != "analyze":
-        print("trace: usage: trace analyze PATH [--top N]",
-              file=sys.stderr)
-        return 2
     if args.top < 1:
-        print(f"trace: --top must be >= 1 (got {args.top})",
-              file=sys.stderr)
-        return 2
-    return analyze_main(args.extra[1], top=args.top)
+        return _fail(args, f"--top must be >= 1 (got {args.top})")
+    return analyze_main(args.path, top=args.top)
 
 
 def run_experiment_command(args) -> int:
     from .runner import ExperimentTable, run_table
-    if args.table is None:
-        print("experiment: --table is required (a JSON/TOML factorial "
-              "run table; see docs/experiments.md)", file=sys.stderr)
-        return 2
-    try:
-        table = ExperimentTable.from_file(args.table)
-    except OSError as exc:
-        print(f"experiment: {exc}", file=sys.stderr)
-        return 2
-    except (RunConfigError, ValueError, KeyError) as exc:
-        print(f"experiment: {exc.args[0]}", file=sys.stderr)
-        return 2
     out_dir = "bench-artifacts" if args.out is None else args.out
     try:
+        table = ExperimentTable.from_file(args.table)
         rows, extra, path = run_table(
             table, out_dir, resume=args.resume,
             default_scale="fast" if args.fast else "default",
             log=print)
-    except (RunConfigError, ValueError, KeyError, OSError) as exc:
-        message = (exc.args[0] if isinstance(exc, (ValueError, KeyError))
-                   else exc)
-        print(f"experiment: {message}", file=sys.stderr)
-        return 2
+    except (ValueError, KeyError, OSError) as exc:
+        return _fail(args, _message(exc))
     columns = list(dict.fromkeys(key for row in rows for key in row))
     print_table(rows, columns=columns,
                 title=f"experiment {table.name}: {len(rows)} cells "
@@ -728,7 +430,72 @@ def run_experiment_command(args) -> int:
     return 0
 
 
-def _run_observed(args, command) -> int:
+# Every non-figure command: name -> (one-line help, handler).  Figure
+# ids come from EXPERIMENTS; which flags each command takes comes from
+# runconfig.OPTIONS.
+COMMANDS = {
+    "all": ("run every figure back to back", run_figures),
+    "list": ("print the figure ids and commands", run_list),
+    "workloads": ("list the named workload registry",
+                  run_workloads_listing),
+    "serve": ("serve a batched multi-session workload on one SoC",
+              run_serve),
+    "cluster": ("simulate sessions arriving at a fleet of SoC workers",
+                run_cluster_command),
+    "frontier": ("sweep governor mode x offered load (quality vs "
+                 "throughput)", run_frontier_command),
+    "experiment": ("run a factorial run table (see docs/experiments.md)",
+                   run_experiment_command),
+    "bench": ("hot-path microbenchmarks -> BENCH_perf.json",
+              run_bench_command),
+    "serve-live": ("bind the real asyncio frame server on a TCP port",
+                   run_serve_live),
+    "loadgen": ("replay a seeded arrival schedule against a frame server "
+                "-> BENCH_realserve.json", run_loadgen_command),
+    "reconcile": ("diff a loadgen artifact against the cluster simulator",
+                  run_reconcile_command),
+    "trace": ("inspect a --trace artifact: trace analyze PATH",
+              run_trace_command),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command and figure id, each registering only
+    the flags :data:`~.runconfig.OPTIONS` declares for it.
+
+    Abbreviations are off, or frontier would read a foreign '--rate' as
+    its own '--rates'.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro.harness.cli", allow_abbrev=False,
+        description="Reproduce Cicero (ISCA 2024) figures, or serve, "
+                    "simulate and benchmark batched neural rendering.",
+        epilog="'COMMAND --help' lists the flags a command accepts.")
+    subparsers = parser.add_subparsers(dest="figure", metavar="COMMAND",
+                                       required=True)
+    commands = {name: ((EXPERIMENTS[name].__doc__ or name).splitlines()[0],
+                       run_figures) for name in sorted(EXPERIMENTS)}
+    commands.update(COMMANDS)
+    for name, (help_text, handler) in commands.items():
+        command = subparsers.add_parser(name, help=help_text,
+                                        description=help_text,
+                                        allow_abbrev=False)
+        if name == "trace":
+            command = command.add_subparsers(
+                dest="action", metavar="analyze", required=True).add_parser(
+                "analyze", help="summarise a trace from the artifact alone",
+                allow_abbrev=False)
+            command.add_argument("path", metavar="PATH")
+        key = FIGURE if handler is run_figures else name
+        for option in OPTIONS:
+            if key in option.commands:
+                dest = {} if option.field is None else {"dest": option.field}
+                command.add_argument(option.flag, **dest, **option.kwargs)
+        command.set_defaults(func=handler)
+    return parser
+
+
+def _run_observed(args) -> int:
     """Run one observed command under an obs activation.
 
     Metrics are always registered (they snapshot into the command's
@@ -739,7 +506,7 @@ def _run_observed(args, command) -> int:
     from ..obs import MetricsRegistry, Observation, Tracer, activate
     tracer = Tracer() if args.trace is not None else None
     with activate(Observation(tracer=tracer, metrics=MetricsRegistry())):
-        code = command()
+        code = args.func(args)
     if tracer is not None and code == 0:
         path = tracer.write(args.trace)
         print(f"wrote {path} ({len(tracer)} trace events)")
@@ -747,77 +514,23 @@ def _run_observed(args, command) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = FAST if args.fast else DEFAULT
-
-    if args.json_out is not None:
-        from pathlib import Path
-        target = Path(args.json_out)
-        if target.exists() and not target.is_dir():
-            print(f"--json-out: {args.json_out!r} exists and is not a "
-                  "directory", file=sys.stderr)
-            return 2
-    if args.extra and args.figure != TRACE_COMMAND:
-        print(f"{args.figure}: unexpected argument(s) "
-              f"{' '.join(args.extra)!r} (only the 'trace' command takes "
-              "positional arguments)", file=sys.stderr)
-        return 2
-    if args.trace is not None and args.figure not in OBSERVED_COMMANDS:
-        print(f"--trace applies to {'/'.join(OBSERVED_COMMANDS)} runs "
-              "(use 'trace analyze PATH' to inspect an existing trace)",
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a rejected flag (2), or --help (0)
+        return exc.code
+    json_out = getattr(args, "json_out", None)
+    if json_out is not None and Path(json_out).exists() \
+            and not Path(json_out).is_dir():
+        print(f"--json-out: {json_out!r} exists and is not a directory",
               file=sys.stderr)
         return 2
-
-    if args.figure == "list":
-        for name in sorted(EXPERIMENTS):
-            print(name)
-        print(BENCH_COMMAND)
-        print(CLUSTER_COMMAND)
-        print(EXPERIMENT_COMMAND)
-        print(FRONTIER_COMMAND)
-        print(LOADGEN_COMMAND)
-        print(RECONCILE_COMMAND)
-        print(SERVE_COMMAND)
-        print(SERVE_LIVE_COMMAND)
-        print(TRACE_COMMAND)
-        print(WORKLOADS_COMMAND)
-        return 0
-    if args.figure == WORKLOADS_COMMAND:
-        return run_workloads_listing()
-    if args.figure == TRACE_COMMAND:
-        return run_trace_command(args)
-    if args.figure == SERVE_COMMAND:
-        return _run_observed(args, lambda: run_serve(args, config))
-    if args.figure == CLUSTER_COMMAND:
-        return _run_observed(args,
-                             lambda: run_cluster_command(args, config))
-    if args.figure == FRONTIER_COMMAND:
-        return _run_observed(args,
-                             lambda: run_frontier_command(args, config))
-    if args.figure == SERVE_LIVE_COMMAND:
-        return run_serve_live(args, config)
-    if args.figure == LOADGEN_COMMAND:
-        return _run_observed(args,
-                             lambda: run_loadgen_command(args, config))
-    if args.figure == RECONCILE_COMMAND:
-        return run_reconcile_command(args, config)
-    if args.figure == BENCH_COMMAND:
-        return run_bench_command(args, config)
-    if args.figure == EXPERIMENT_COMMAND:
-        return _run_observed(args, lambda: run_experiment_command(args))
-    if args.figure == "all":
-        for name in sorted(EXPERIMENTS):
-            run_figure(name, config, json_dir=args.json_out)
-        return 0
-    if args.figure not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        print(f"unknown figure {args.figure!r}; expected one of: {known}, "
-              f"all, bench, serve, serve-live, loadgen, reconcile, "
-              f"cluster, experiment, frontier, trace, workloads, list",
-              file=sys.stderr)
-        return 2
-    run_figure(args.figure, config, json_dir=args.json_out)
-    return 0
+    try:
+        # The observed commands are exactly those that accept --trace.
+        if hasattr(args, "trace"):
+            return _run_observed(args)
+        return args.func(args)
+    except RunConfigError as exc:
+        return _fail(args, exc.args[0])
 
 
 if __name__ == "__main__":

@@ -3,11 +3,16 @@
 A :class:`RunConfig` is the frozen, JSON/TOML-loadable description of a
 single harness run ("cell"): workload mix, arrival process, fleet size,
 placement, governor mode, SLO, seed.  Every harness entry point —
-``cli serve``, ``cli cluster``, ``cli frontier``, and the factorial
-``cli experiment`` runner — constructs one of these and routes it
-through :func:`RunConfig.validate`, so conflicting knob combinations
-fail with the *same* message and exit code no matter which command
-surfaced them.
+``cli serve``, ``cli cluster``, ``cli frontier``, ``cli serve-live``,
+``cli loadgen``, and the factorial ``cli experiment`` runner — builds
+one of these and routes it through :meth:`RunConfig.validate`.
+
+:data:`OPTIONS` declares every CLI flag exactly once: the commands that
+accept it and the RunConfig field it sets.  ``cli.build_parser``
+registers on each subcommand only its own flags, so a flag foreign to a
+command is a parse error; :meth:`RunConfig.validate` reads the same
+table to reject a field that a (JSON) table cell sets for a mode none
+of the field's commands runs.
 
 The config is content-addressed: :meth:`RunConfig.config_hash` digests
 the canonical JSON of every result-affecting field, which is what the
@@ -22,27 +27,187 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from ..backend import backend_names
 from ..cluster import ARRIVAL_KINDS, PLACEMENTS
 from ..control import GOVERNOR_MODES
 from ..hw.soc import VARIANTS
 from ..workloads import parse_mix
 from .configs import ALGORITHMS, DEFAULT, FAST, scene_of
 
-__all__ = ["MODES", "SCALES", "SCHEDULERS", "RunConfig", "RunConfigError",
+__all__ = ["COMMAND_MODES", "FIGURE", "MODES", "OPTIONS", "SCALES",
+           "SCHEDULERS", "Option", "RunConfig", "RunConfigError",
            "from_cli_args", "parse_rates"]
 
 MODES = ("serve", "cluster", "realserve")
 SCALES = ("default", "fast")
 SCHEDULERS = ("round_robin", "deadline")
 
-# The option families the commands share only partially; used both to
-# validate cells and to phrase the cross-command rejection messages.
-_SERVE_ONLY = ("scenes", "algorithm", "variant", "sessions", "scheduler",
-               "ray_budget")
-_SERVE_ONLY_FLAGS = ("--scene/--algorithm/--variant/--sessions/"
-                     "--scheduler/--ray-budget")
-_REALSERVE_ONLY = ("host", "port", "time_scale")
-_REALSERVE_ONLY_FLAGS = "--host/--port/--time-scale"
+# The mode of the RunConfig each cell-building command constructs.
+COMMAND_MODES = {"serve": "serve", "cluster": "cluster",
+                 "frontier": "cluster", "serve-live": "realserve",
+                 "loadgen": "realserve"}
+# Stands for every figure-id command and 'all' in OPTIONS.
+FIGURE = "figure"
+
+_SIM = ("serve", "cluster", "frontier")
+_FLEET = ("cluster", "frontier")
+_LIVE = ("serve-live", "loadgen")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One CLI flag: the commands that accept it, and the
+    :class:`RunConfig` field it sets (``None`` for a flag that only
+    steers its command, such as ``--json-out``).  ``kwargs`` go to
+    ``argparse.ArgumentParser.add_argument``."""
+
+    flag: str
+    commands: tuple
+    field: str | None = None
+    kwargs: dict = dataclasses.field(default_factory=dict)
+
+    @property
+    def modes(self) -> set:
+        """The RunConfig modes whose commands accept this flag."""
+        return {COMMAND_MODES[command] for command in self.commands
+                if command in COMMAND_MODES}
+
+
+def _opt(flag, commands, field=None, **kwargs) -> Option:
+    return Option(flag, tuple(commands), field, kwargs)
+
+
+OPTIONS = (
+    _opt("--fast", (FIGURE, *_SIM, *_LIVE, "reconcile", "bench",
+                    "experiment"),
+         action="store_true",
+         help="use the reduced test-scale configuration"),
+    _opt("--json-out", (FIGURE, *_SIM, "loadgen", "reconcile", "bench"),
+         metavar="DIR",
+         help="write BENCH_<name>.json artifacts into DIR (commands that "
+              "always write one default to bench-artifacts)"),
+    _opt("--trace", (*_SIM, "loadgen", "experiment"), metavar="PATH",
+         help="record the run as Chrome Trace Event JSON at PATH (load "
+              "in Perfetto; inspect with 'trace analyze PATH')"),
+    # Workload shape and serving policy.
+    _opt("--workload", (*_SIM, "loadgen"), "workloads", action="append",
+         metavar="NAME[:N]",
+         help="named workload spec, optionally duplicated N times "
+              "(repeatable; see 'workloads'); the spec fixes scene/"
+              "algorithm/variant, and on cluster/loadgen the counts are "
+              "arrival popularity weights"),
+    _opt("--frames", (*_SIM, "loadgen"), "frames", type=int,
+         help="frames per session (default: config scale)"),
+    _opt("--seed", (*_SIM, "loadgen"), "seed", type=int,
+         help="seed for every stochastic choice (trajectories, arrival "
+              "schedule); same seed, same run (default 0)"),
+    _opt("--governor", (*_SIM, *_LIVE), "governor", choices=GOVERNOR_MODES,
+         help="SLO quality governor: 'off' serves native tiers, 'static' "
+              "pins each workload's min_quality_tier, 'adaptive' degrades"
+              "/recovers on frame latency (default off; frontier sweeps "
+              "all three unless one is given)"),
+    _opt("--slo", (*_SIM, *_LIVE), "slo_fps", type=float, metavar="FPS",
+         help="override every workload's SLO frame rate (default: each "
+              "spec's slo_fps, else its fps_target)"),
+    _opt("--no-cache", (*_SIM, *_LIVE), "use_cache", action="store_false",
+         help="disable the shared cross-session reference cache "
+              "(outputs are bit-identical either way)"),
+    _opt("--backend", ("serve", "cluster", *_LIVE, "bench"), "backend",
+         choices=backend_names(),
+         help="kernel backend: 'numpy' (default) or 'parallel' (session "
+              "fan-out to a worker pool); both bit-identical"),
+    _opt("--engine-workers", ("serve", "cluster", *_LIVE, "bench"),
+         "engine_workers", type=int, metavar="N",
+         help="worker processes for --backend parallel (default 2)"),
+    # serve: one SoC, a fixed set of closed-loop sessions.
+    _opt("--sessions", ("serve",), "sessions", type=int,
+         help="concurrent sessions (default 4)"),
+    _opt("--scheduler", ("serve",), "scheduler", choices=SCHEDULERS,
+         help="session scheduling policy (default round_robin)"),
+    _opt("--variant", ("serve",), "variant", choices=VARIANTS,
+         help="SoC variant to price frames under (default cicero)"),
+    _opt("--scene", ("serve",), "scenes", action="append", metavar="NAME",
+         help="scene(s) to cycle sessions over (repeatable; default lego)"),
+    _opt("--algorithm", ("serve",), "algorithm",
+         help="NeRF algorithm for every session (default directvoxgo)"),
+    _opt("--ray-budget", ("serve",), "ray_budget", type=int,
+         help="cap on rays per engine round; with --governor it is split "
+              "by SLO pressure (default unbounded)"),
+    # Arrival processes: the simulated fleet and the live loadgen.
+    _opt("--arrivals", ("cluster", "loadgen"), "arrivals",
+         choices=ARRIVAL_KINDS, help="arrival process (default poisson)"),
+    _opt("--rate", ("cluster", "loadgen"), "rate_hz", type=float,
+         help="arrival rate in sessions/s, the peak for diurnal (default "
+              "1.0; loadgen 2.0)"),
+    _opt("--duration", (*_FLEET, "loadgen"), "duration_s", type=float,
+         help="arrival window in virtual seconds (default 10; loadgen 4)"),
+    _opt("--arrival-trace", ("cluster", "loadgen"), "arrival_trace",
+         metavar="PATH", help="JSON arrival trace for --arrivals replay"),
+    # The simulated fleet.
+    _opt("--workers", _FLEET, "workers", type=int,
+         help="initial SoC worker count (default 4)"),
+    _opt("--placement", _FLEET, "placement",
+         choices=tuple(sorted(PLACEMENTS)),
+         help="placement policy (default least_loaded; cache_affinity "
+              "co-locates shared content, shard_affinity prefers workers "
+              "holding the field — pair it with --catalog)"),
+    _opt("--queue-limit", _FLEET, "queue_limit", type=int,
+         help="resident sessions per worker before admission rejects "
+              "(default 4)"),
+    _opt("--autoscale", ("cluster",), "autoscale", action="store_true",
+         help="scale the fleet between --min-workers and --max-workers"),
+    _opt("--min-workers", ("cluster",), "min_workers", type=int,
+         help="autoscaler floor (default 1)"),
+    _opt("--max-workers", ("cluster",), "max_workers", type=int,
+         help="autoscaler ceiling (default 2x --workers)"),
+    _opt("--scale-up-latency", ("cluster",), "scale_up_latency_s",
+         type=float,
+         help="virtual seconds before a scaled-up worker takes sessions "
+              "(default 1.0)"),
+    _opt("--catalog", ("cluster",), "catalog", type=int, metavar="N",
+         help="serve N content-distinct scene variants through the "
+              "sharded field tier (see docs/sharded-serving.md)"),
+    _opt("--zipf", ("cluster",), "zipf", type=float, metavar="S",
+         help="zipfian popularity skew over the catalog (default 1.1; "
+              "0 = uniform)"),
+    _opt("--replication", ("cluster",), "replication", type=int,
+         metavar="R",
+         help="replicas per baked field (default 2; 0 disables the tier)"),
+    # The live frame server.
+    _opt("--host", _LIVE, "host",
+         help="interface the frame server binds (default 127.0.0.1)"),
+    _opt("--port", _LIVE, "port", type=int,
+         help="port the frame server binds (default 0 = ephemeral)"),
+    _opt("--time-scale", ("loadgen",), "time_scale", type=float,
+         help="wall seconds per virtual arrival second (default 1.0; "
+              "reconcile normalises back)"),
+    _opt("--connect", ("loadgen",), metavar="HOST:PORT",
+         help="target a running 'serve-live' server instead of starting "
+              "an in-process one"),
+    # Flags of one command, with no RunConfig field.
+    _opt("--rates", ("frontier",), metavar="R1,R2,...",
+         help="offered arrival rates (sessions/s) to sweep (default "
+              "8,24,72; >= 3 points)"),
+    _opt("--input", ("reconcile",), metavar="PATH", required=True,
+         help="the BENCH_realserve.json a 'loadgen' run wrote"),
+    _opt("--quick", ("bench",), action="store_true",
+         help="CI smoke scale: FAST config, fewer reps, smaller inputs"),
+    _opt("--kernels", ("bench",), metavar="K1,K2,...",
+         help="run only these registered kernels (see "
+              "docs/benchmarking.md)"),
+    _opt("--repeat", ("bench",), type=int, default=3, metavar="N",
+         help="keep the best of N runs per kernel (default 3)"),
+    _opt("--top", ("trace",), type=int, default=10, metavar="N",
+         help="rows per ranking (default 10)"),
+    _opt("--table", ("experiment",), metavar="PATH", required=True,
+         help="factorial run table (.json, or .toml on Python 3.11+; see "
+              "docs/experiments.md)"),
+    _opt("--resume", ("experiment",), action="store_true",
+         help="skip cells whose artifact under --out/cells already "
+              "matches their config hash"),
+    _opt("--out", ("experiment",), metavar="DIR",
+         help="artifact directory (default bench-artifacts)"),
+)
 
 
 class RunConfigError(ValueError):
@@ -168,13 +333,18 @@ class RunConfig:
                 f"unknown scale {self.scale!r}; one of {SCALES}")
         if self.repetition < 0:
             raise RunConfigError("repetition must be >= 0")
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        for option in OPTIONS:
+            if (option.field is not None
+                    and self.mode not in option.modes
+                    and getattr(self, option.field)
+                    != defaults[option.field]):
+                raise RunConfigError(
+                    f"field {option.field} ({option.flag}) does not apply "
+                    f"to mode {self.mode}")
         self._validate_shared()
-        if self.mode == "serve":
-            self._validate_serve()
-        elif self.mode == "realserve":
-            self._validate_realserve()
-        else:
-            self._validate_cluster()
+        self._validate_serve()
+        self._validate_arrivals()
         return self
 
     def _validate_shared(self) -> None:
@@ -190,65 +360,31 @@ class RunConfig:
                 parse_mix(self.workloads)
             except (KeyError, ValueError) as exc:
                 raise RunConfigError(exc.args[0]) from None
-        if self.backend is not None:
-            from ..backend import backend_names
-            if self.backend not in backend_names():
-                raise RunConfigError(
-                    f"unknown backend {self.backend!r}; "
-                    f"one of {backend_names()}")
+        if self.backend is not None and self.backend not in backend_names():
+            raise RunConfigError(f"unknown backend {self.backend!r}; "
+                                 f"one of {backend_names()}")
         if self.engine_workers is not None:
             if self.engine_workers < 1:
                 raise RunConfigError("--engine-workers must be >= 1")
             if self.backend != "parallel":
                 raise RunConfigError(
                     "--engine-workers requires --backend parallel "
-                    "(the other backends run in-process)")
-
-    def _reject_realserve_only(self) -> None:
-        used = [name for name in _REALSERVE_ONLY
-                if getattr(self, name) is not None]
-        if used:
-            raise RunConfigError(
-                f"{_REALSERVE_ONLY_FLAGS} are realserve-only options "
-                "(cli serve-live / cli loadgen)")
+                    "(the numpy backend runs in-process)")
 
     def _validate_serve(self) -> None:
-        self._reject_realserve_only()
-        cluster_only = [
-            flag for flag, value in (
-                ("--arrivals", self.arrivals),
-                ("--rate", self.rate_hz),
-                ("--duration", self.duration_s),
-                ("--workers", self.workers),
-                ("--placement", self.placement),
-                ("--queue-limit", self.queue_limit),
-                ("--arrival-trace", self.arrival_trace),
-                ("--autoscale", self.autoscale or None),
-                ("--min-workers", self.min_workers),
-                ("--max-workers", self.max_workers),
-                ("--scale-up-latency", self.scale_up_latency_s),
-                ("--catalog", self.catalog),
-                ("--zipf", self.zipf),
-                ("--replication", self.replication),
-            ) if value is not None]
-        if cluster_only:
-            raise RunConfigError(
-                f"{'/'.join(cluster_only)} "
-                f"{'is a cluster-only option' if len(cluster_only) == 1 else 'are cluster-only options'}")
         if self.ray_budget is not None and self.ray_budget < 1:
             raise RunConfigError("--ray-budget must be >= 1")
         if self.scheduler is not None and self.scheduler not in SCHEDULERS:
             raise RunConfigError(f"unknown scheduler {self.scheduler!r}; "
                                  f"one of {SCHEDULERS}")
-        if self.workloads is not None:
-            if (self.scenes or self.algorithm is not None
-                    or self.variant is not None or self.sessions is not None):
-                raise RunConfigError(
-                    "--workload cannot be combined with --scene/"
-                    "--algorithm/--variant/--sessions (the specs and mix "
-                    "counts fix them)")
-            return
-        if self.governor != "off":
+        if self.workloads is not None and (
+                self.scenes or self.algorithm is not None
+                or self.variant is not None or self.sessions is not None):
+            raise RunConfigError(
+                "--workload cannot be combined with --scene/--algorithm/"
+                "--variant/--sessions (the specs and mix counts fix them)")
+        if (self.mode == "serve" and self.workloads is None
+                and self.governor != "off"):
             raise RunConfigError(
                 "--governor needs --workload mixes (the legacy "
                 "scene-cycling sessions carry no SLO fields)")
@@ -257,9 +393,8 @@ class RunConfig:
         if self.variant is not None and self.variant not in VARIANTS:
             raise RunConfigError(f"unknown variant {self.variant!r}; "
                                  f"one of {VARIANTS}")
-        algorithm = self.algorithm or "directvoxgo"
-        if algorithm not in ALGORITHMS:
-            raise RunConfigError(f"unknown algorithm {algorithm!r}; "
+        if self.algorithm is not None and self.algorithm not in ALGORITHMS:
+            raise RunConfigError(f"unknown algorithm {self.algorithm!r}; "
                                  f"one of {ALGORITHMS}")
         for name in self.scenes:
             try:
@@ -267,56 +402,7 @@ class RunConfig:
             except KeyError as exc:
                 raise RunConfigError(exc.args[0]) from None
 
-    def _validate_realserve(self) -> None:
-        serve_only = [name for name in _SERVE_ONLY
-                      if getattr(self, name) not in (None, ())]
-        if serve_only:
-            raise RunConfigError(
-                f"{_SERVE_ONLY_FLAGS} are serve-only options (use "
-                "--workload NAME[:N] to shape the arrival mix)")
-        fleet_only = [
-            flag for flag, value in (
-                ("--workers", self.workers),
-                ("--placement", self.placement),
-                ("--queue-limit", self.queue_limit),
-                ("--autoscale", self.autoscale or None),
-                ("--min-workers", self.min_workers),
-                ("--max-workers", self.max_workers),
-                ("--scale-up-latency", self.scale_up_latency_s),
-                ("--catalog", self.catalog),
-                ("--zipf", self.zipf),
-                ("--replication", self.replication),
-            ) if value is not None]
-        if fleet_only:
-            raise RunConfigError(
-                f"{'/'.join(fleet_only)} "
-                f"{'does' if len(fleet_only) == 1 else 'do'} not apply "
-                "to the live server (one shared engine; reconcile "
-                "simulates workers=1)")
-        if (self.rate_hz is not None and self.rate_hz <= 0
-                or self.duration_s is not None and self.duration_s <= 0):
-            raise RunConfigError("--rate and --duration must be > 0")
-        arrivals = self.arrivals or "poisson"
-        if arrivals not in ARRIVAL_KINDS:
-            raise RunConfigError(f"unknown arrivals {arrivals!r}; "
-                                 f"one of {ARRIVAL_KINDS}")
-        if (arrivals == "replay") != (self.arrival_trace is not None):
-            raise RunConfigError(
-                "--arrival-trace is required for (and only valid with) "
-                "--arrivals replay")
-        if self.port is not None and not 0 <= self.port <= 65535:
-            raise RunConfigError("--port must be in 0..65535")
-        if self.time_scale is not None and self.time_scale <= 0:
-            raise RunConfigError("--time-scale must be > 0")
-
-    def _validate_cluster(self) -> None:
-        self._reject_realserve_only()
-        serve_only = [name for name in _SERVE_ONLY
-                      if getattr(self, name) not in (None, ())]
-        if serve_only:
-            raise RunConfigError(
-                f"{_SERVE_ONLY_FLAGS} are serve-only options (use "
-                "--workload NAME[:N] to shape the arrival mix)")
+    def _validate_arrivals(self) -> None:
         if (self.rate_hz is not None and self.rate_hz <= 0
                 or self.duration_s is not None and self.duration_s <= 0):
             raise RunConfigError("--rate and --duration must be > 0")
@@ -335,9 +421,9 @@ class RunConfig:
             raise RunConfigError(
                 "--arrival-trace is required for (and only valid with) "
                 "--arrivals replay")
-        if arrivals == "replay" and (self.workloads is not None
-                                     or self.rate_hz is not None
-                                     or self.duration_s is not None):
+        if self.mode == "cluster" and arrivals == "replay" and (
+                self.workloads is not None or self.rate_hz is not None
+                or self.duration_s is not None):
             raise RunConfigError(
                 "--workload/--rate/--duration do not apply to --arrivals "
                 "replay (the trace fixes every arrival)")
@@ -358,6 +444,10 @@ class RunConfig:
             raise RunConfigError("--zipf must be >= 0")
         if self.replication is not None and self.replication < 0:
             raise RunConfigError("--replication must be >= 0")
+        if self.port is not None and not 0 <= self.port <= 65535:
+            raise RunConfigError("--port must be in 0..65535")
+        if self.time_scale is not None and self.time_scale <= 0:
+            raise RunConfigError("--time-scale must be > 0")
 
 
 def parse_rates(text: str) -> tuple:
@@ -373,102 +463,22 @@ def parse_rates(text: str) -> tuple:
     return rates
 
 
-def _workloads_of(args) -> str | None:
-    if not args.workloads:
-        return None
-    return ",".join(args.workloads)
-
-
 def from_cli_args(command: str, args) -> RunConfig:
     """Build the validated :class:`RunConfig` behind one CLI invocation.
 
-    ``command`` is ``"serve"``, ``"cluster"``, or ``"frontier"`` (a
-    frontier invocation validates as the cluster cell its sweep expands
-    into).  Cross-command flags — a serve-only flag passed to
-    ``cluster``, ``--rates`` passed to ``cluster``, cluster scheduling
-    flags passed to ``frontier`` — raise :class:`RunConfigError` with
-    the shared messages, so every command rejects a bad combination
-    identically.
+    ``command`` is a key of :data:`COMMAND_MODES`; ``args`` is the
+    namespace its subparser produced, so it holds exactly the fields
+    :data:`OPTIONS` gives that command.  Unset flags stay out of the
+    config, leaving the defaults to the executing harness.
     """
-    scale = "fast" if args.fast else "default"
-    if command == "serve":
-        return RunConfig(
-            mode="serve", scale=scale, workloads=_workloads_of(args),
-            frames=args.frames, seed=args.seed, governor=args.governor or "off",
-            slo_fps=args.slo, use_cache=not args.no_cache,
-            backend=args.backend, engine_workers=args.engine_workers,
-            sessions=args.sessions, scheduler=args.scheduler,
-            variant=args.variant, scenes=tuple(args.scenes or ()),
-            algorithm=args.algorithm, ray_budget=args.ray_budget,
-            # Cluster-only flags ride along (all default late to None)
-            # so validate() rejects explicit use with the shared message.
-            arrivals=args.arrivals, rate_hz=args.rate,
-            duration_s=args.duration, workers=args.workers,
-            placement=args.placement, queue_limit=args.queue_limit,
-            arrival_trace=args.arrival_trace, autoscale=args.autoscale,
-            min_workers=args.min_workers, max_workers=args.max_workers,
-            scale_up_latency_s=args.scale_up_latency,
-            catalog=getattr(args, "catalog", None),
-            zipf=getattr(args, "zipf", None),
-            replication=getattr(args, "replication", None),
-            # Realserve-only flags ride along for the same reason.
-            host=getattr(args, "host", None), port=getattr(args, "port", None),
-            time_scale=getattr(args, "time_scale", None),
-        ).validate()
-    if command in ("loadgen", "serve-live"):
-        return RunConfig(
-            mode="realserve", scale=scale, workloads=_workloads_of(args),
-            frames=args.frames, seed=args.seed,
-            governor=args.governor or "off", slo_fps=args.slo,
-            use_cache=not args.no_cache, backend=args.backend,
-            engine_workers=args.engine_workers,
-            arrivals=getattr(args, "arrivals", None),
-            rate_hz=getattr(args, "rate", None),
-            duration_s=getattr(args, "duration", None),
-            arrival_trace=getattr(args, "arrival_trace", None),
-            host=args.host, port=args.port,
-            time_scale=getattr(args, "time_scale", None),
-        ).validate()
-    if command == "cluster":
-        if args.rates is not None:
-            raise RunConfigError(
-                "--rates is a frontier-only option (use --rate for a "
-                "single arrival rate)")
-    elif command == "frontier":
-        if (args.arrival_trace is not None or args.autoscale
-                or args.min_workers is not None
-                or args.max_workers is not None
-                or args.scale_up_latency is not None
-                or args.rate is not None or args.arrivals is not None):
-            raise RunConfigError(
-                "--rate/--arrivals/--arrival-trace/--autoscale options "
-                "do not apply (the sweep fixes poisson arrivals; use "
-                "--rates for the load points)")
-        if (getattr(args, "catalog", None) is not None
-                or getattr(args, "zipf", None) is not None
-                or getattr(args, "replication", None) is not None):
-            raise RunConfigError(
-                "--catalog/--zipf/--replication do not apply to frontier "
-                "(sweep the sharded tier with cli experiment instead)")
-    else:
-        raise RunConfigError(f"unknown command {command!r}")
-    return RunConfig(
-        mode="cluster", scale=scale, workloads=_workloads_of(args),
-        frames=args.frames, seed=args.seed, governor=args.governor or "off",
-        slo_fps=args.slo, use_cache=not args.no_cache,
-        backend=args.backend, engine_workers=args.engine_workers,
-        sessions=args.sessions, scheduler=args.scheduler,
-        variant=args.variant, scenes=tuple(args.scenes or ()),
-        algorithm=args.algorithm, ray_budget=args.ray_budget,
-        arrivals=args.arrivals, rate_hz=args.rate,
-        duration_s=args.duration, workers=args.workers,
-        placement=args.placement, queue_limit=args.queue_limit,
-        arrival_trace=args.arrival_trace, autoscale=args.autoscale,
-        min_workers=args.min_workers, max_workers=args.max_workers,
-        scale_up_latency_s=args.scale_up_latency,
-        catalog=getattr(args, "catalog", None),
-        zipf=getattr(args, "zipf", None),
-        replication=getattr(args, "replication", None),
-        host=getattr(args, "host", None), port=getattr(args, "port", None),
-        time_scale=getattr(args, "time_scale", None),
-    ).validate()
+    values = {option.field: getattr(args, option.field)
+              for option in OPTIONS
+              if option.field is not None and command in option.commands
+              and getattr(args, option.field) is not None}
+    if "workloads" in values:
+        values["workloads"] = ",".join(values["workloads"])
+    if "scenes" in values:
+        values["scenes"] = tuple(values["scenes"])
+    return RunConfig(mode=COMMAND_MODES[command],
+                     scale="fast" if args.fast else "default",
+                     **values).validate()

@@ -39,7 +39,12 @@ try:
 except ImportError:  # pragma: no cover - py3.10 CI leg
     tomllib = None
 
-__all__ = ["CellResult", "ExperimentTable", "execute_cell", "run_table"]
+__all__ = ["CELL_MODES", "CellResult", "ExperimentTable", "execute_cell",
+           "run_table"]
+
+# The RunConfig modes execute_cell runs (realserve cells need a live
+# server and a loadgen: see cli serve-live / cli loadgen).
+CELL_MODES = ("serve", "cluster")
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,16 @@ def execute_cell(cell: RunConfig, config=None, mix=None) -> CellResult:
     if config is None:
         config = cell.experiment_config()
     seed = cell.seed + cell.repetition
-    if cell.mode == "serve":
+    if _executable(cell).mode == "serve":
         return _execute_serve(cell, config, mix, seed)
     return _execute_cluster(cell, config, mix, seed)
+
+
+def _executable(cell: RunConfig) -> RunConfig:
+    if cell.mode not in CELL_MODES:
+        raise RunConfigError(f"mode {cell.mode!r} cannot run as an "
+                             f"experiment cell; one of {CELL_MODES}")
+    return cell
 
 
 def _execute_cluster(cell: RunConfig, config, mix, seed: int) -> CellResult:
@@ -310,7 +322,7 @@ class ExperimentTable:
                 cell = self.base.with_updates(
                     repetition=repetition, label=label or self.name,
                     **updates)
-                expanded.append(cell.validate())
+                expanded.append(_executable(cell.validate()))
         return expanded
 
 

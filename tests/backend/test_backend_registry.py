@@ -5,7 +5,6 @@ import pytest
 from repro.backend import (
     DEFAULT_BACKEND,
     KERNELS,
-    NUMBA_AVAILABLE,
     active_overrides,
     backend_names,
     get_backend,
@@ -17,7 +16,7 @@ from repro.backend import (
 
 class TestRegistry:
     def test_names(self):
-        assert backend_names() == ("numba", "numpy", "parallel")
+        assert backend_names() == ("numpy", "parallel")
 
     def test_default_is_numpy(self):
         assert DEFAULT_BACKEND == "numpy"
@@ -31,27 +30,20 @@ class TestRegistry:
         for name in backend_names():
             assert name in message
 
-    def test_numba_resolves_or_falls_back(self):
-        resolved = resolve_backend("numba")
-        expected = "numba" if NUMBA_AVAILABLE else "numpy"
-        assert resolved.name == expected
-
     def test_exact_backends_install_nothing(self):
         # numpy and parallel run the canonical in-process kernels with
         # zero dispatch indirection; parallelism lives in the engine's
         # pool, not in kernel overrides.
         for name in ("numpy", "parallel"):
-            backend = get_backend(name)
-            assert backend.exact
-            assert backend.available
-            assert backend.overrides() == {}
+            assert get_backend(name).overrides() == {}
 
     def test_use_backend_installs_and_restores(self):
         assert active_overrides() == {}
         with use_backend("numpy") as active:
             assert active.name == "numpy"
             assert active_overrides() == {}
-        with use_backend("numba") as active:
+        with use_backend("parallel") as active:
+            assert active.name == "parallel"
             assert set(active_overrides()) == set(active.overrides())
         assert active_overrides() == {}
 
@@ -69,4 +61,4 @@ class TestRegistry:
         for name in backend_names():
             row = get_backend(name).describe()
             assert row["backend"] == name
-            assert isinstance(row["exact"], bool)
+            assert row["description"]

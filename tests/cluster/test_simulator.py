@@ -213,9 +213,9 @@ class TestCli:
 
     def test_cluster_rejects_serve_only_flags(self, capsys):
         assert main(["cluster", "--fast", "--sessions", "4"]) == 2
-        assert "serve-only" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert main(["cluster", "--fast", "--scheduler", "deadline"]) == 2
-        assert "serve-only" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cluster_missing_trace_file_message(self, capsys):
         assert main(["cluster", "--fast", "--arrivals", "replay",

@@ -20,9 +20,8 @@ class TestParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--fast"])
         assert args.figure == "serve"
-        # --sessions/--scheduler default late (to 4 / round_robin) so
-        # explicit use can be detected and rejected when combined with
-        # --workload or the cluster command.
+        # Unset flags stay None: the executing harness owns the
+        # defaults (4 sessions, round_robin).
         assert args.sessions is None
         assert args.scheduler is None
         assert args.json_out is None
@@ -37,7 +36,7 @@ class TestMain:
     def test_unknown_figure(self, capsys):
         assert main(["fig99"]) == 2
         err = capsys.readouterr().err
-        assert "unknown figure" in err
+        assert "invalid choice" in err
         # The message tells the user what *is* available.
         assert "fig07" in err and "serve" in err
 
@@ -82,10 +81,8 @@ class TestServe:
         assert "--sessions" in capsys.readouterr().err
 
     def test_serve_rejects_unknown_variant(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--fast", "--sessions", "1", "--frames", "2",
-                  "--variant", "warpcore"])
-        assert excinfo.value.code == 2
+        assert main(["serve", "--fast", "--sessions", "1", "--frames", "2",
+                     "--variant", "warpcore"]) == 2
         assert "warpcore" in capsys.readouterr().err
 
     def test_serve_rejects_unknown_scene(self, capsys):
@@ -193,11 +190,12 @@ class TestGovernorCli:
 
     def test_cluster_rejects_ray_budget(self, capsys):
         assert main(["cluster", "--fast", "--ray-budget", "64"]) == 2
-        assert "serve-only" in capsys.readouterr().err
+        assert ("unrecognized arguments: --ray-budget"
+                in capsys.readouterr().err)
 
     def test_cluster_rejects_rates(self, capsys):
         assert main(["cluster", "--fast", "--rates", "1,2,3"]) == 2
-        assert "frontier-only" in capsys.readouterr().err
+        assert "unrecognized arguments: --rates" in capsys.readouterr().err
 
     def test_frontier_rejects_two_load_points(self, capsys):
         assert main(["frontier", "--fast", "--rates", "1,2"]) == 2
@@ -209,7 +207,8 @@ class TestGovernorCli:
 
     def test_frontier_rejects_serve_options(self, capsys):
         assert main(["frontier", "--fast", "--sessions", "4"]) == 2
-        assert "serve-only" in capsys.readouterr().err
+        assert ("unrecognized arguments: --sessions"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--fast", "--host", "127.0.0.1"],
@@ -219,7 +218,8 @@ class TestGovernorCli:
     ], ids=["serve-host", "serve-port", "cluster-scale", "frontier-scale"])
     def test_virtual_commands_reject_realserve_flags(self, capsys, argv):
         assert main(argv) == 2
-        assert "realserve-only" in capsys.readouterr().err
+        assert (f"unrecognized arguments: {argv[-2]}"
+                in capsys.readouterr().err)
 
     def test_governed_serve_reports_tier_state(self, capsys, tmp_path):
         rc = main(["serve", "--fast", "--frames", "3",
@@ -274,3 +274,125 @@ class TestGovernorCli:
         finally:
             runner_mod.simulate_cluster = real
         assert seen and all(p == "cache_affinity" for p in seen)
+
+
+# A valid value for every flag that takes one, so a rejection below can
+# only come from the flag being foreign to its command.
+_VALUES = {
+    "--sessions": "2", "--scheduler": "deadline", "--variant": "gpu",
+    "--scene": "lego", "--algorithm": "directvoxgo", "--ray-budget": "64",
+    "--rates": "1,2,3", "--arrivals": "poisson", "--rate": "2",
+    "--duration": "1", "--workers": "2", "--placement": "least_loaded",
+    "--queue-limit": "2", "--arrival-trace": "t.json", "--autoscale": None,
+    "--min-workers": "1", "--max-workers": "2", "--scale-up-latency": "1",
+    "--catalog": "8", "--zipf": "1.1", "--replication": "2",
+    "--host": "127.0.0.1", "--port": "7000", "--time-scale": "0.5",
+    "--frames": "2", "--workload": "vr-lego", "--trace": "t.json",
+    "--connect": "127.0.0.1:7000",
+}
+# Every (command, flag) pair the hand-written cross-command lists
+# rejected before the CLI moved to per-command subparsers.
+_FOREIGN = {
+    "serve": ("--arrivals", "--rate", "--duration", "--workers",
+              "--placement", "--queue-limit", "--autoscale",
+              "--min-workers", "--max-workers", "--scale-up-latency",
+              "--catalog", "--zipf", "--replication", "--host", "--port",
+              "--time-scale"),
+    "cluster": ("--sessions", "--scheduler", "--variant", "--scene",
+                "--algorithm", "--ray-budget", "--rates", "--host",
+                "--port", "--time-scale"),
+    "frontier": ("--sessions", "--scheduler", "--variant", "--scene",
+                 "--algorithm", "--ray-budget", "--arrivals", "--rate",
+                 "--arrival-trace", "--autoscale", "--min-workers",
+                 "--max-workers", "--scale-up-latency", "--catalog",
+                 "--zipf", "--replication", "--host", "--port",
+                 "--time-scale"),
+    "serve-live": ("--frames", "--workload", "--trace", "--arrivals",
+                   "--rate", "--duration", "--arrival-trace", "--connect",
+                   "--time-scale"),
+}
+# bench --trace: see tests/obs/test_obs_cli_trace.py.
+_TRACE_FOREIGN = {
+    "reconcile": ["reconcile", "--input", "x.json"],
+    "figure": ["fig23", "--fast"],
+    "all": ["all", "--fast"],
+}
+
+
+class TestForeignFlags:
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in _FOREIGN.items()
+        for flag in flags])
+    def test_foreign_flag_is_a_parse_error(self, capsys, command, flag):
+        value = _VALUES[flag]
+        argv = [command, "--fast", flag] + ([value] if value else [])
+        assert main(argv) == 2
+        assert (f"unrecognized arguments: {flag}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", list(_TRACE_FOREIGN.values()),
+                             ids=list(_TRACE_FOREIGN))
+    def test_trace_only_on_observed_commands(self, capsys, argv):
+        assert main([*argv, "--trace", "t.json"]) == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
+    def test_help_returns_zero(self, capsys):
+        assert main(["cluster", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--placement" in out and "--sessions" not in out
+
+
+class TestOptionDeclaration:
+    def test_every_field_is_declared_once(self):
+        import dataclasses
+
+        from repro.harness.runconfig import OPTIONS, RunConfig
+        declared = [option.field for option in OPTIONS
+                    if option.field is not None]
+        assert len(declared) == len(set(declared))
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(declared) == fields - {"mode", "scale", "label",
+                                          "repetition"}
+
+    def test_every_option_names_real_commands(self):
+        from repro.harness.cli import COMMANDS
+        from repro.harness.runconfig import FIGURE, OPTIONS
+        for option in OPTIONS:
+            assert set(option.commands) <= set(COMMANDS) | {FIGURE}, \
+                option.flag
+
+
+def _documented_invocations():
+    """Every ``python -m repro.harness.cli`` line in the README, docs/
+    and the CLI module docstring, as argv lists."""
+    import shlex
+    from pathlib import Path
+
+    from repro.harness import cli
+    root = Path(__file__).resolve().parents[2]
+    sources = {path.relative_to(root).as_posix(): path.read_text()
+               for path in [root / "README.md",
+                            *sorted((root / "docs").glob("*.md"))]}
+    sources["repro.harness.cli"] = cli.__doc__.replace("\\\\", "\\")
+    marker = "python -m repro.harness.cli"
+    found = []
+    for name, text in sources.items():
+        for line in text.replace("\\\n", " ").splitlines():
+            if marker not in line:
+                continue
+            command = line.split(marker, 1)[1].split("`", 1)[0]
+            argv = []
+            for token in shlex.split(command, comments=True):
+                if token[0] in "|>&;":
+                    break
+                argv.append(token)
+            found.append(pytest.param(argv, id=f"{name}:{' '.join(argv)}"))
+    return found
+
+
+@pytest.mark.parametrize("argv", _documented_invocations())
+def test_documented_invocation_parses(argv, capsys):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:  # only --help may exit, and with 0
+        assert exc.code == 0, capsys.readouterr().err

@@ -2,12 +2,43 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from repro.harness.configs import FAST
-from repro.harness.runconfig import RunConfig, RunConfigError, from_cli_args
+from repro.harness.runconfig import (
+    COMMAND_MODES,
+    RunConfig,
+    RunConfigError,
+    from_cli_args,
+)
 from repro.harness.runner import ExperimentTable, execute_cell, run_table
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "experiments"
+
+# config_hash() of every cell of the checked-in example tables, as
+# recorded before the CLI moved to per-command subparsers: --resume
+# artifacts written by either CLI must keep matching.
+PINNED_HASHES = {
+    "quick.json": [
+        "53e78b0d2e7877102e0a153a4e46e1f996dbc2394f00f77b04ba1856f9ecb822",
+        "3d57807b144cb77709d5b28591ee053fa7e0d983af58f406396634bd99504e42",
+        "9d34811992ebcf4969f2241cb310a6da7b80dfbeae61de3d92a90e52c0c73d13",
+        "176b1464a193c8bfcfdaaa75460d0262ef6bf7ad5c75fe776a93efbb9ea51485",
+    ],
+    "frontier-fast.json": [
+        "1cbe68cf030cd8c8b5e3c726cd77f0a1ad40841b98d03e6e3299e73b04a8c8f1",
+        "740a1aadb1f11f034f10ecb0142149d9eeea3fbfa26016b484d877c65b6000b8",
+        "f77f160c6dcef23f7ffed9760cb6f03b7e466ed6728f714f66e02c4ed230be00",
+        "e2a94ff8ebd2337b0b1c56f2a726b0d879ded4e14f7869bdc6119c503ef14a92",
+        "2a99a9fb70a96b9f3afde321f3beeb5f3d2cc12f94894e4092c0423d4877e96a",
+        "4631ab65d8e8b5301e1ac31390eda4d23e7dfbb63b61b8e8eba96d7fc7fb78b8",
+        "76f25523c1a5796bfc715cb852c424479704b846d853d1e7dcf4b904008efeb4",
+        "1b217ad09306012cd260a39ad797dba7c7c74df7822bdb55055518c25239e2b2",
+        "ff3d0aa28484f6e41151b6f6128a1beb92a838d83c7b07b9648e1f58ba19c748",
+    ],
+}
 
 QUICK_TABLE = {
     "name": "quick",
@@ -47,11 +78,13 @@ class TestRunConfig:
             RunConfig.from_dict({"rate": 4.0})
 
     def test_serve_rejects_cluster_only_knobs(self):
-        with pytest.raises(RunConfigError, match="cluster-only"):
+        with pytest.raises(RunConfigError, match="field workers .* does "
+                                                 "not apply to mode serve"):
             RunConfig(mode="serve", workers=4).validate()
 
     def test_cluster_rejects_serve_only_knobs(self):
-        with pytest.raises(RunConfigError, match="serve-only"):
+        with pytest.raises(RunConfigError, match="field sessions .* does "
+                                                 "not apply to mode cluster"):
             RunConfig(mode="cluster", sessions=4).validate()
 
     def test_replay_requires_trace(self):
@@ -65,8 +98,9 @@ class TestRunConfig:
 
 
 class TestCliParity:
-    """serve/cluster/frontier/experiment share one validator, so a
-    conflicting combination fails with the same message everywhere."""
+    """serve/cluster/frontier/experiment share one option declaration: a
+    flag foreign to a command is a parse error, and the same field in a
+    table cell of that command's mode fails validation."""
 
     def _args(self, command, *extra):
         from repro.harness.cli import build_parser
@@ -74,9 +108,11 @@ class TestCliParity:
 
     @pytest.mark.parametrize("command", ["cluster", "frontier"])
     def test_serve_only_rejection_is_identical(self, command):
-        with pytest.raises(RunConfigError) as exc:
-            from_cli_args(command, self._args(command, "--sessions", "4"))
-        assert "serve-only" in str(exc.value)
+        with pytest.raises(SystemExit):
+            self._args(command, "--sessions", "4")
+        with pytest.raises(RunConfigError, match="field sessions .* does "
+                                                 "not apply to mode cluster"):
+            RunConfig(mode=COMMAND_MODES[command], sessions=4).validate()
 
     @pytest.mark.parametrize("command", ["serve", "cluster", "frontier"])
     def test_bad_frames_rejection_is_identical(self, command):
@@ -84,8 +120,11 @@ class TestCliParity:
             from_cli_args(command, self._args(command, "--frames", "0"))
 
     def test_serve_rejects_cluster_flags(self):
-        with pytest.raises(RunConfigError, match="cluster-only"):
-            from_cli_args("serve", self._args("serve", "--workers", "2"))
+        with pytest.raises(SystemExit):
+            self._args("serve", "--workers", "2")
+        with pytest.raises(RunConfigError, match="field workers .* does "
+                                                 "not apply to mode serve"):
+            RunConfig(mode="serve", workers=2).validate()
 
 
 class TestExperimentTable:
@@ -118,6 +157,35 @@ class TestExperimentTable:
             {"base": {"mode": "cluster"}, "axes": {"workers": [1, 0]}})
         with pytest.raises(RunConfigError, match=">= 1"):
             table.cells()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+    def test_example_table_hashes_are_pinned(self, name):
+        table = ExperimentTable.from_file(EXAMPLES / name)
+        assert [cell.config_hash() for cell in table.cells()] \
+            == PINNED_HASHES[name]
+
+    def test_rejects_realserve_cells(self):
+        # execute_cell has no live-server path: a realserve cell used to
+        # run the cluster simulator under a "realserve" label.
+        table = ExperimentTable.from_dict(
+            {"base": {"mode": "realserve", "port": 7000}})
+        with pytest.raises(RunConfigError, match="'realserve' cannot run"):
+            table.cells()
+        with pytest.raises(RunConfigError, match="'realserve' cannot run"):
+            execute_cell(RunConfig(mode="realserve"), config=FAST)
+
+    def test_cli_experiment_rejects_realserve_table(self, tmp_path, capsys):
+        from repro.harness.cli import main
+        table = tmp_path / "live.json"
+        table.write_text(json.dumps({"base": {
+            "mode": "realserve", "scale": "fast", "port": 7000,
+            "time_scale": 0.5, "rate_hz": 2.0, "duration_s": 0.5,
+            "frames": 1}}))
+        out = tmp_path / "out"
+        assert main(["experiment", "--table", str(table),
+                     "--out", str(out)]) == 2
+        assert "realserve" in capsys.readouterr().err
+        assert not (out / "BENCH_experiment.json").exists()
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "t.json"

@@ -81,9 +81,9 @@ def test_serve_trace_smoke(tmp_path):
 def test_trace_flag_rejected_outside_observed_commands(capsys, tmp_path):
     rc = main(["bench", "--quick", "--trace", str(tmp_path / "t.json")])
     assert rc == 2
-    assert "--trace applies to" in capsys.readouterr().err
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
 
 
 def test_positional_args_rejected_outside_trace_command(capsys):
     assert main(["serve", "analyze", "--fast"]) == 2
-    assert "unexpected argument" in capsys.readouterr().err
+    assert "unrecognized arguments: analyze" in capsys.readouterr().err
