@@ -16,9 +16,8 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..obs.runtime import current_metrics, current_tracer
+from ..obs.runtime import current_metrics, current_tracer, section
 from ..obs.tracer import WORK_US_PER_RAY
-from ..perf.timer import section
 from ..workloads.cache import pose_hash
 from .scheduler import RoundRobinScheduler
 from .session import RenderSession
@@ -211,11 +210,21 @@ class MultiSessionEngine:
     def run(self) -> EngineResult:
         """Serve every session to completion; returns the combined result.
 
-        The configured kernel backend is active for the whole run (see
-        :meth:`serving`).
+        A drain of :meth:`run_round` calls with the configured kernel
+        backend active throughout (see :meth:`serving`).  Only here is
+        the work-clock trace armed, so live serving's wall-clock traces
+        carry no synthetic engine lanes.
         """
-        with self.serving():
-            return self._run_rounds()
+        if self.governor is not None:
+            self.governor.attach(self.sessions)
+        self._trace_setup()
+        try:
+            with self.serving():
+                while any(not s.done for s in self.sessions):
+                    self.run_round()
+        finally:
+            self._trace = None
+        return EngineResult(sessions=list(self.sessions), batch=self.batch)
 
     # -- live admission (the frame server's API) --------------------------------
 
@@ -264,10 +273,11 @@ class MultiSessionEngine:
         one round and the warped frame the next), so poll the sessions'
         ``done`` flags, not this return value, to detect drain
         completion.
-        Cumulative batching statistics accrue on :attr:`batch`.  The
-        caller owns backend activation (:meth:`serving`) and must call
-        ``run_round`` from one thread at a time; ``admit``/``retire``
-        may race freely against it.
+        Cumulative batching statistics accrue on :attr:`batch`, and
+        each round bumps the ``engine.*`` counters of the active metrics
+        registry.  The caller owns backend activation (:meth:`serving`)
+        and must call ``run_round`` from one thread at a time;
+        ``admit``/``retire`` may race freely against it.
         """
         with self._admission:
             active = [s for s in self.sessions if not s.done]
@@ -276,9 +286,14 @@ class MultiSessionEngine:
             ordered = self.scheduler.order(active, self._round_index)
             served = self._select(ordered)
             frames_before = [(s, s.result.num_frames) for s in served]
+            stats = self.batch
+            before = (stats.requests, stats.total_rays, stats.nerf_calls,
+                      stats.cache_hits)
             with section("engine.round"):
-                self._serve_round(served, self.batch)
-            self.batch.rounds += 1
+                self._serve_round(served, stats)
+            stats.rounds += 1
+            self._trace_round(self._round_index, len(served), stats, before)
+            self._count_round(stats, before)
             self._round_index += 1
         completed = []
         for session, frames in frames_before:
@@ -290,49 +305,19 @@ class MultiSessionEngine:
                 completed.append((session, records))
         return completed
 
-    def _run_rounds(self) -> EngineResult:
-        stats = BatchStats()
-        round_index = 0
-        if self.governor is not None:
-            self.governor.attach(self.sessions)
-        self._trace_setup()
+    @staticmethod
+    def _count_round(stats: BatchStats, before: tuple) -> None:
+        """Bump the ``engine.*`` metrics by one round's work (if active)."""
         metrics = current_metrics()
-        try:
-            while True:
-                active = [s for s in self.sessions if not s.done]
-                if not active:
-                    break
-                ordered = self.scheduler.order(active, round_index)
-                served = self._select(ordered)
-                before = (stats.requests, stats.total_rays,
-                          stats.nerf_calls, stats.cache_hits)
-                with section("engine.round"):
-                    if self.governor is None:
-                        self._serve_round(served, stats)
-                    else:
-                        frames_before = [(s, s.result.num_frames)
-                                         for s in served]
-                        self._serve_round(served, stats)
-                        for session, frames in frames_before:
-                            for record in session.result.records[frames:]:
-                                self.governor.observe_record(session, record)
-                stats.rounds += 1
-                self._trace_round(round_index, len(served), stats, before)
-                if metrics is not None:
-                    metrics.inc("engine.rounds")
-                    metrics.inc("engine.requests",
-                                stats.requests - before[0])
-                    metrics.inc("engine.rays", stats.total_rays - before[1])
-                    metrics.inc("engine.nerf_calls",
-                                stats.nerf_calls - before[2])
-                    metrics.inc("engine.cache_hits",
-                                stats.cache_hits - before[3])
-                    metrics.observe("engine.round_rays",
-                                    stats.total_rays - before[1])
-                round_index += 1
-        finally:
-            self._trace = None
-        return EngineResult(sessions=list(self.sessions), batch=stats)
+        if metrics is None:
+            return
+        rays = stats.total_rays - before[1]
+        metrics.inc("engine.rounds")
+        metrics.inc("engine.requests", stats.requests - before[0])
+        metrics.inc("engine.rays", rays)
+        metrics.inc("engine.nerf_calls", stats.nerf_calls - before[2])
+        metrics.inc("engine.cache_hits", stats.cache_hits - before[3])
+        metrics.observe("engine.round_rays", rays)
 
     # -- tracing ----------------------------------------------------------------
     #

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geometry.camera import PinholeCamera
-from ..perf.timer import section
+from ..obs.runtime import section
 from ..scenes.raytracer import Frame
 from .sampling import RaySamples, UniformSampler
 from .volume_render import composite

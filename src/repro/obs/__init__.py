@@ -1,7 +1,7 @@
-"""Unified observability: timer sections + event tracing + metrics.
+"""Unified observability: section timing + event tracing + metrics.
 
 One :func:`activate` call (taking an :class:`Observation` bundling an
-optional :class:`~repro.perf.timer.Timer`, :class:`Tracer`, and
+optional section :class:`Timer`, :class:`Tracer`, and
 :class:`MetricsRegistry`) turns on every instrumented layer at once;
 with nothing active, every hook is a no-op bounded by the overhead
 tests.  See ``docs/observability.md`` for the trace schema and metric
@@ -9,14 +9,14 @@ key reference.
 """
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .runtime import (Observation, activate, current, current_metrics,
-                      current_tracer, metric_inc, metric_observe,
-                      metric_set, section)
+from .runtime import (Observation, Section, SectionStats, Timer, activate,
+                      current, current_metrics, current_tracer, metric_inc,
+                      metric_observe, metric_set, section)
 from .tracer import Tracer, WORK_US_PER_RAY
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "Observation", "activate", "current", "current_metrics",
-    "current_tracer", "metric_inc", "metric_observe", "metric_set",
-    "section", "Tracer", "WORK_US_PER_RAY",
+    "Observation", "Section", "SectionStats", "Timer", "activate",
+    "current", "current_metrics", "current_tracer", "metric_inc",
+    "metric_observe", "metric_set", "section", "Tracer", "WORK_US_PER_RAY",
 ]

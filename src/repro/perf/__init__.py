@@ -1,29 +1,24 @@
 """Profiling and microbenchmark subsystem (``repro.perf``).
 
-Three layers, importable independently:
+Two layers, imported as submodules:
 
-* :mod:`repro.perf.timer` — ``Timer``/``Section`` wall-clock
-  instrumentation with a negligible-overhead no-op mode.  Product hot
-  paths (renderer, SPARW pipeline, engine) call
-  :func:`~repro.perf.timer.section` unconditionally; unless a timer is
-  activated the call is a shared no-op context manager.
 * :mod:`repro.perf.bench` — the microbenchmark registry behind
   ``cli bench`` (field query, warp gather/scatter, disocclusion
   classification, volume-render compositing, engine round, cluster
-  tick, end-to-end frames/s) and the ``BENCH_perf.json`` payload.
+  tick, end-to-end frames/s) and the ``BENCH_perf.json`` payload.  Its
+  per-section wall split comes from the section timer of
+  :mod:`repro.obs` (``nerf.*``/``sparw.*``/``engine.round`` sections
+  that product hot paths annotate unconditionally).
 * :mod:`repro.perf.reference` — the scalar/unfused predecessors of
   every vectorized kernel, kept runnable for equivalence tests
   (``tests/perf/test_equivalence.py``) and for the harness's
   speedup-vs-baseline measurements.
 
-Only the timer layer is re-exported here: it has no dependencies, so
-product modules can import it without dragging in the bench harness.
+Only the dependency-free environment fingerprint is re-exported here:
 :mod:`repro.perf.bench` and :mod:`repro.perf.compare` import large
 parts of the codebase and must be imported as submodules.
 """
 
 from .envinfo import environment_fingerprint
-from .timer import NULL_TIMER, Section, SectionStats, Timer, activate, section
 
-__all__ = ["Timer", "Section", "SectionStats", "NULL_TIMER", "activate",
-           "section", "environment_fingerprint"]
+__all__ = ["environment_fingerprint"]

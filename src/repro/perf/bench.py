@@ -24,7 +24,7 @@ must return finite, positive ``ns_per_op`` (enforced by
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,11 +38,11 @@ from ..harness.configs import (DEFAULT, FAST, ExperimentConfig,
                                build_renderer, ground_truth_sequence,
                                make_camera)
 from ..nerf.volume_render import composite
+from ..obs.runtime import Observation, Timer, activate, current
 from .envinfo import environment_fingerprint
 from .reference import (decode_reference, interpolate_hash_reference,
                         interpolate_voxel_reference, reference_geometry,
                         reference_renderer)
-from .timer import Timer, activate
 
 __all__ = ["register", "registered_kernels", "run_benchmarks",
            "BenchContext"]
@@ -277,7 +277,7 @@ def bench_engine_round(ctx: BenchContext) -> dict:
 
     result = serve()  # warmup + work accounting
     timer = Timer()
-    with activate(timer):
+    with _timed(timer):
         wall = _time_reps(serve, reps)
     rays = result.batch.total_rays
     return _row("engine.round", "ray", rays, reps, wall,
@@ -295,9 +295,10 @@ def bench_engine_scaling(ctx: BenchContext) -> list:
     numpy path) and through the ``parallel`` backend's persistent worker
     pool at 2 and 4 workers (plus ``ctx.engine_workers`` when it names a
     different point), emitting one ``engine.round.workersN`` row per
-    point with the serial-relative speedup and per-core efficiency
-    (normalised by ``min(N, cores)`` so an undersized host reports
-    honest numbers instead of a guaranteed shortfall).
+    point with the serial-relative speedup.  Per-core efficiency
+    (speedup / N) is emitted only when the host has at least N cores:
+    with more workers than cores the pool time-slices, so the only
+    honest figure there is the speedup itself.
     """
     import os
 
@@ -327,14 +328,15 @@ def bench_engine_scaling(ctx: BenchContext) -> list:
         if serial_wall is None:
             serial_wall = wall
         speedup = serial_wall / wall
+        efficiency = ({"per_core_efficiency": speedup / workers}
+                      if workers <= cores else {})
         rows.append(_row(
             f"engine.round.workers{workers}", "ray",
             result.batch.total_rays, reps, wall,
             backend="numpy" if workers == 1 else "parallel",
             workers=workers, cores=cores,
             frames_per_s=result.total_frames / wall,
-            speedup_vs_serial=speedup,
-            per_core_efficiency=speedup / min(workers, cores)))
+            speedup_vs_serial=speedup, **efficiency))
     return rows
 
 
@@ -353,7 +355,7 @@ def bench_cluster_tick(ctx: BenchContext) -> dict:
 
     report = run()
     timer = Timer()
-    with activate(timer):
+    with _timed(timer):
         wall = _time_reps(run, reps)
     frames = max(report.total_frames, 1)
     return _row("cluster.tick", "frame", frames, reps, wall,
@@ -383,7 +385,7 @@ def bench_single_session(ctx: BenchContext) -> dict:
         return sparw.render_sequence(poses)
 
     timer = Timer()
-    with activate(timer):
+    with _timed(timer):
         wall = _time_reps(render, ctx.reps)
 
     baseline = reference_renderer(renderer)
@@ -402,6 +404,11 @@ def bench_single_session(ctx: BenchContext) -> dict:
                 speedup_x=ref_wall / wall,
                 sections={r["section"]: round(r["total_ms"], 3)
                           for r in timer.report()})
+
+
+def _timed(timer: Timer):
+    """Activate ``timer`` on top of the active tracer and metrics sinks."""
+    return activate(replace(current() or Observation(), timer=timer))
 
 
 def _best_of(fn, ctx: BenchContext, repeat: int) -> list:

@@ -1,12 +1,11 @@
 """Activation backbone: routing, nesting, and the disabled-path cost."""
 
 import time
+from dataclasses import replace
 
-from repro.obs import (Observation, Tracer, MetricsRegistry, activate,
-                       current, current_metrics, current_tracer,
+from repro.obs import (Observation, Timer, Tracer, MetricsRegistry,
+                       activate, current, current_metrics, current_tracer,
                        metric_inc, metric_observe, metric_set, section)
-from repro.perf.timer import Timer
-from repro.perf.timer import activate as timer_activate
 
 
 class TestActivation:
@@ -73,23 +72,31 @@ class TestGuardedHelpers:
 
 
 class TestTimerBridge:
+    """Layering a timer onto whatever is active: the form ``cli bench``
+    uses to time a region without dropping the enclosing sinks."""
+
+    @staticmethod
+    def _with_timer(timer):
+        return activate(replace(current() or Observation(), timer=timer))
+
     def test_timer_activate_preserves_enclosing_sinks(self):
-        """perf.timer.activate layers a timer onto the active tracer and
-        metrics instead of clobbering them."""
+        """The layered timer keeps the active tracer and metrics instead
+        of clobbering them, and the enclosing observation is restored."""
         obs = Observation(tracer=Tracer(), metrics=MetricsRegistry())
         timer = Timer()
         with activate(obs):
-            with timer_activate(timer):
+            with self._with_timer(timer):
                 assert current_tracer() is obs.tracer
                 assert current_metrics() is obs.metrics
                 with section("inner"):
                     pass
             assert current() is obs
+        assert obs.timer is None
         assert "inner" in timer.stats()
 
     def test_timer_activate_standalone(self):
         timer = Timer()
-        with timer_activate(timer):
+        with self._with_timer(timer):
             assert current_tracer() is None
             with section("solo"):
                 pass
@@ -101,7 +108,7 @@ def test_disabled_helpers_overhead_bound():
     """With no observation active, the guarded helpers must stay
     effectively free — product hot paths (engine round loop, cache
     get/put, pool dispatch) call them unconditionally.  Same generous
-    bound and rationale as tests/perf/test_timer.py's
+    bound and rationale as tests/obs/test_timer.py's
     test_noop_overhead_bound: ~20x the typical cost so loaded CI
     machines cannot flake it, while still catching an accidental
     always-on slow path.

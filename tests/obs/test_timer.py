@@ -1,14 +1,14 @@
-"""Timer/Section instrumentation: accounting and the no-op overhead bound."""
+"""Section timing: accounting, routing, and the no-op overhead bound."""
 
 import time
 
-from repro.perf.timer import NULL_TIMER, Timer, activate, section
+from repro.obs import Observation, Section, Timer, activate, section
 
 
 def test_timer_accumulates_sections():
     timer = Timer()
     for _ in range(3):
-        with timer.section("work"):
+        with Section(timer, "work"):
             pass
     stats = timer.stats()["work"]
     assert stats.calls == 3
@@ -42,8 +42,8 @@ def test_reentrant_same_name_section_counts_once():
     inner interval twice and report calls == 2.)
     """
     timer = Timer()
-    with timer.section("work"):
-        with timer.section("work"):
+    with Section(timer, "work"):
+        with Section(timer, "work"):
             time.sleep(0.002)
     stats = timer.stats()["work"]
     assert stats.calls == 1
@@ -54,33 +54,23 @@ def test_reentrant_same_name_section_counts_once():
 def test_reentrant_section_depth_resets_between_uses():
     timer = Timer()
     for _ in range(2):
-        with timer.section("work"):
-            with timer.section("work"):
+        with Section(timer, "work"):
+            with Section(timer, "work"):
                 pass
     assert timer.stats()["work"].calls == 2
     # Distinct names still account independently when interleaved.
-    with timer.section("outer"):
-        with timer.section("inner"):
+    with Section(timer, "outer"):
+        with Section(timer, "inner"):
             pass
     assert timer.stats()["outer"].calls == 1
     assert timer.stats()["inner"].calls == 1
-
-
-def test_disabled_timer_records_nothing():
-    timer = Timer(enabled=False)
-    with timer.section("ignored"):
-        pass
-    assert timer.stats() == {}
-    with NULL_TIMER.section("ignored"):
-        pass
-    assert NULL_TIMER.stats() == {}
 
 
 def test_module_section_routes_to_active_timer():
     timer = Timer()
     with section("outside-noop"):
         pass
-    with activate(timer):
+    with activate(Observation(timer=timer)):
         with section("inside"):
             pass
     assert "inside" in timer.stats()
@@ -89,10 +79,10 @@ def test_module_section_routes_to_active_timer():
 
 def test_activation_nests_and_restores():
     outer, inner = Timer(), Timer()
-    with activate(outer):
+    with activate(Observation(timer=outer)):
         with section("a"):
             pass
-        with activate(inner):
+        with activate(Observation(timer=inner)):
             with section("b"):
                 pass
         with section("c"):

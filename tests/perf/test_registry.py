@@ -1,6 +1,7 @@
 """Microbenchmark registry: completeness and sane per-kernel results."""
 
 import math
+import os
 
 import pytest
 
@@ -75,6 +76,24 @@ def test_environment_fingerprint_present(quick_run):
     env = extra["environment"]
     for key in ("python", "numpy", "platform", "machine", "cpu_count"):
         assert key in env, f"fingerprint missing {key}"
+
+
+def test_scaling_omits_efficiency_beyond_core_count(monkeypatch):
+    """With more workers than cores the pool time-slices, so a speedup
+    below 1 there is a slowdown, not an efficiency: such rows carry
+    ``speedup_vs_serial`` but no ``per_core_efficiency``."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rows, _ = bench.run_benchmarks(config=FAST, quick=True,
+                                   kernels=["engine.round.scaling"])
+    by_workers = {row["workers"]: row for row in rows}
+    assert sorted(by_workers) == [1, 2, 4]
+    for workers, row in by_workers.items():
+        assert row["cores"] == 2
+        assert row["speedup_vs_serial"] > 0
+        assert ("per_core_efficiency" in row) == (workers <= 2), row
+    two = by_workers[2]
+    assert two["per_core_efficiency"] == pytest.approx(
+        two["speedup_vs_serial"] / 2)
 
 
 def test_kernel_subset_and_unknown_kernel():
